@@ -1,15 +1,20 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"structream/internal/incremental"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/parser"
+	"structream/internal/sql/physical"
 )
 
 // The engine-level differential: run the same plan over the same epoch
@@ -170,5 +175,189 @@ func TestRowSinkStillGetsRows(t *testing.T) {
 	}
 	if len(got[0].Rows) != 2 {
 		t.Fatalf("foreach sink rows = %v", got[0].Rows)
+	}
+}
+
+// fig6aCatalog serves the Yahoo! benchmark's ad-event stream and
+// campaigns table (the schemas of internal/yahoo, which this package's
+// tests cannot import).
+type fig6aCatalog struct{}
+
+var (
+	fig6aEvents = sql.NewSchema(
+		sql.Field{Name: "user_id", Type: sql.TypeInt64},
+		sql.Field{Name: "ad_id", Type: sql.TypeInt64},
+		sql.Field{Name: "event_type", Type: sql.TypeString},
+		sql.Field{Name: "event_time", Type: sql.TypeTimestamp},
+	)
+	fig6aCampaigns = sql.NewSchema(
+		sql.Field{Name: "c_ad_id", Type: sql.TypeInt64},
+		sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
+	)
+)
+
+func (c fig6aCatalog) ResolveTable(name string) (logical.Plan, error) {
+	switch name {
+	case "ad_events":
+		return &logical.Scan{Name: name, Streaming: true, Out: fig6aEvents}, nil
+	case "campaigns":
+		return &logical.Scan{Name: name, Out: fig6aCampaigns}, nil
+	}
+	return nil, fmt.Errorf("unknown table %q", name)
+}
+
+// TestVectorizeFig6aJoinOnOffIdentical runs the paper's Fig 6a query
+// (filter → project → stream-static join → window → count) with
+// vectorization on and off at workers 1/2/4. The columnar broadcast join
+// must leave the sink byte-identical to the row path, including ads that
+// match no campaign, NULL ad ids, and ads listed under two campaigns.
+func TestVectorizeFig6aJoinOnOffIdentical(t *testing.T) {
+	const sqlText = `SELECT window(event_time, '10 seconds') AS w, campaign_id, count(*) AS cnt
+FROM (SELECT ad_id, event_time FROM ad_events WHERE event_type = 'view') e
+JOIN campaigns c ON e.ad_id = c.c_ad_id
+GROUP BY window(event_time, '10 seconds'), campaign_id`
+	var campaigns []sql.Row
+	for ad := int64(0); ad < 100; ad++ {
+		campaigns = append(campaigns, sql.Row{ad, ad / 10})
+	}
+	campaigns = append(campaigns, sql.Row{int64(7), int64(99)}, sql.Row{nil, int64(98)})
+	plan, err := parser.Parse(sqlText, fig6aCatalog{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := compile(t, plan, logical.Update, func(*logical.Scan) (physical.RowSource, error) {
+		return physical.NewSliceSource(fig6aCampaigns, campaigns), nil
+	})
+
+	rng := rand.New(rand.NewSource(6))
+	types := []string{"view", "click", "purchase"}
+	parts := make([][]sql.Row, 2)
+	for i := 0; i < 600; i++ {
+		var ad sql.Value = int64(rng.Intn(110)) // ads 100-109 match nothing
+		if rng.Intn(20) == 0 {
+			ad = nil
+		}
+		parts[i%2] = append(parts[i%2], sql.Row{
+			int64(rng.Intn(1000)), ad, types[rng.Intn(len(types))], int64(i) * 50_000,
+		})
+	}
+	run := func(workers int, vectorize bool) *sinks.MemorySink {
+		sink := sinks.NewMemorySink()
+		src := sources.NewPartitionedSource("ad_events", fig6aEvents, parts)
+		sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
+			Workers:              workers,
+			NumPartitions:        2,
+			MaxRecordsPerTrigger: 97,
+			Vectorize:            Bool(vectorize),
+		})
+		if err := sq.ProcessAllAvailable(); err != nil {
+			t.Fatalf("workers=%d vectorize=%v: %v", workers, vectorize, err)
+		}
+		if p, ok := sq.LastProgress(); vectorize && (!ok || p.VectorizedRows == 0) {
+			t.Fatalf("workers=%d: vectorized run took the row path: %+v", workers, p)
+		}
+		return sink
+	}
+	for _, workers := range []int{1, 2, 4} {
+		on, off := run(workers, true), run(workers, false)
+		if len(off.Rows()) == 0 {
+			t.Fatal("row path emitted nothing")
+		}
+		rowsExactlyEqual(t, on.Rows(), off.Rows(), fmt.Sprintf("workers=%d", workers))
+	}
+}
+
+// TestVectorizeJoinShapesOnOffIdentical runs every stream-static join
+// shape with vectorization on and off at workers 1/2/4 and requires
+// byte-identical sinks: inner, outer, semi and anti joins, the static
+// side on either side, a two-column key, several matches per key, NULL
+// and unmatched stream keys, a join feeding an aggregation, and the two
+// shapes that must stay on the row path (a residual predicate and a
+// static table whose cells drift from its schema).
+func TestVectorizeJoinShapesOnOffIdentical(t *testing.T) {
+	dimSchema := sql.NewSchema(
+		sql.Field{Name: "dk", Type: sql.TypeString},
+		sql.Field{Name: "dn", Type: sql.TypeInt64},
+		sql.Field{Name: "label", Type: sql.TypeString},
+	)
+	dim := []sql.Row{
+		{"k1", int64(1), "k1-a"}, {"k2", int64(2), "k2"}, {"k1", int64(3), "k1-b"},
+		{nil, int64(1), "null-key"}, {"k4", int64(1), nil}, {"k1", int64(1), "k1-c"},
+	}
+	drifted := append([]sql.Row(nil), dim...)
+	drifted[1] = sql.Row{"k2", "two", "k2"}
+	dimScan := func(rows []sql.Row) *logical.Scan {
+		return &logical.Scan{Name: "dim", Out: dimSchema, Handle: rows}
+	}
+	resolver := func(s *logical.Scan) (physical.RowSource, error) {
+		return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
+	}
+	keyEq := sql.Eq(sql.Col("k"), sql.Col("dk"))
+	join := func(typ logical.JoinType, cond sql.Expr, rows []sql.Row) *logical.Join {
+		return &logical.Join{Left: partScan(), Right: dimScan(rows), Type: typ, Cond: cond}
+	}
+	shapes := map[string]struct {
+		plan logical.Plan
+		mode logical.OutputMode
+	}{
+		"inner":        {join(logical.InnerJoin, keyEq, dim), logical.Append},
+		"left-outer":   {join(logical.LeftOuterJoin, keyEq, dim), logical.Append},
+		"semi":         {join(logical.LeftSemiJoin, keyEq, dim), logical.Append},
+		"anti":         {join(logical.LeftAntiJoin, keyEq, dim), logical.Append},
+		"two-key":      {join(logical.InnerJoin, sql.And(keyEq, sql.Eq(sql.Col("n"), sql.Col("dn"))), dim), logical.Append},
+		"residual":     {join(logical.InnerJoin, sql.And(keyEq, sql.Gt(sql.Col("n"), sql.Col("dn"))), dim), logical.Append},
+		"static-drift": {join(logical.InnerJoin, keyEq, drifted), logical.Append},
+		"static-left-inner": {&logical.Join{Left: dimScan(dim), Right: partScan(),
+			Type: logical.InnerJoin, Cond: keyEq}, logical.Append},
+		"static-left-right-outer": {&logical.Join{Left: dimScan(dim), Right: partScan(),
+			Type: logical.RightOuterJoin, Cond: keyEq}, logical.Append},
+		"join-agg-update": {&logical.Aggregate{
+			Child: join(logical.LeftOuterJoin, keyEq, dim),
+			Keys:  []sql.Expr{sql.Col("label")},
+			Aggs: []logical.NamedAgg{
+				{Agg: sql.CountAll(), Name: "cnt"},
+				{Agg: sql.SumOf(sql.Col("n")), Name: "total"}}}, logical.Update},
+	}
+
+	// Keys k0..k5 (k0, k3, k5 match nothing), one NULL key in seven, n
+	// small enough for the two-column key to hit.
+	rng := rand.New(rand.NewSource(12))
+	parts := make([][]sql.Row, 2)
+	for i := 0; i < 240; i++ {
+		var k sql.Value = fmt.Sprintf("k%d", rng.Intn(6))
+		if rng.Intn(7) == 0 {
+			k = nil
+		}
+		parts[i%2] = append(parts[i%2], sql.Row{k, int64(rng.Intn(4)), int64(i) * sec})
+	}
+	run := func(q *incremental.Query, workers int, vectorize bool) *sinks.MemorySink {
+		sink := sinks.NewMemorySink()
+		src := sources.NewPartitionedSource("events", partSchema, parts)
+		sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
+			Workers:              workers,
+			NumPartitions:        2,
+			MaxRecordsPerTrigger: 53,
+			Vectorize:            Bool(vectorize),
+		})
+		if err := sq.ProcessAllAvailable(); err != nil {
+			t.Fatalf("workers=%d vectorize=%v: %v", workers, vectorize, err)
+		}
+		return sink
+	}
+	for name, s := range shapes {
+		t.Run(name, func(t *testing.T) {
+			q := compile(t, s.plan, s.mode, resolver)
+			for _, workers := range []int{1, 2, 4} {
+				on, off := run(q, workers, true), run(q, workers, false)
+				if len(off.Rows()) == 0 {
+					t.Fatal("row path emitted nothing")
+				}
+				ctx := fmt.Sprintf("workers=%d", workers)
+				rowsExactlyEqual(t, on.Rows(), off.Rows(), ctx)
+				for e := int64(0); e < 8; e++ {
+					rowsExactlyEqual(t, on.RowsForEpoch(e), off.RowsForEpoch(e), ctx+" epoch rows")
+				}
+			}
+		})
 	}
 }

@@ -300,7 +300,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if prog, ok := vec.Compile(n.Cond, schema); ok {
 			vop = physical.NewVecFilter(prog)
 		}
-		appendVec(pipes, vop)
+		appendVec(pipes, vop, "filter: predicate has no kernel")
 		return pipes, schema, nil
 
 	case *logical.Project:
@@ -327,7 +327,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if progs, ok := vec.CompileAll(n.Exprs, schema); ok {
 			vop = physical.NewVecProject(progs, outSchema)
 		}
-		appendVec(pipes, vop)
+		appendVec(pipes, vop, "project: expression has no kernel")
 		return pipes, outSchema, nil
 
 	case *logical.WindowAssign:
@@ -378,13 +378,14 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 			return nil, sql.Schema{}, err
 		}
 		var vop physical.VecOp
+		reason := "window: sliding windows explode rows"
 		if tumbling {
-			// Sliding windows explode rows and stay on the row path.
+			reason = "window: event time has no int64 kernel"
 			if prog, ok := vec.Compile(n.Window.Time, schema); ok && vec.KindOf(prog.Type) == vec.KindInt64 {
 				vop = physical.NewVecWindow(prog, w, out)
 			}
 		}
-		appendVec(pipes, vop)
+		appendVec(pipes, vop, reason)
 		return pipes, out, nil
 
 	case *logical.WithWatermark:
@@ -466,17 +467,18 @@ func appendStage(pipes []*Pipeline, f StageFactory) {
 
 // appendVec extends each pipeline's vector plan with the columnar twin of
 // the stage appendStage just added. op == nil marks the stage
-// non-vectorizable, which seals the plan: later vectorized stages cannot
-// run before an uncovered row stage, so the columnar prefix stops growing
-// there and ProcessBatchTo hands the remaining stages their rows.
-func appendVec(pipes []*Pipeline, op physical.VecOp) {
+// non-vectorizable, which seals the plan with reason: later vectorized
+// stages cannot run before an uncovered row stage, so the columnar prefix
+// stops growing there and ProcessBatchTo hands the remaining stages their
+// rows.
+func appendVec(pipes []*Pipeline, op physical.VecOp, reason string) {
 	for _, p := range pipes {
 		v := p.Vec
 		if v == nil || v.sealed {
 			continue
 		}
 		if op == nil || len(v.Ops)+1 != len(p.Stages) {
-			v.sealed = true
+			v.seal(reason)
 			continue
 		}
 		v.Ops = append(v.Ops, op)
@@ -548,33 +550,25 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 		residual = b.Eval
 	}
 
-	// Build the broadcast hash table.
-	table := make(map[string][]sql.Row, len(staticRows))
-	for _, r := range staticRows {
-		key := make([]sql.Value, len(staticKeyEvals))
-		null := false
-		for i, e := range staticKeyEvals {
-			key[i] = e(r)
-			if key[i] == nil {
-				null = true
-			}
-		}
-		if null {
-			continue
-		}
-		ks := codec.KeyString(key)
-		table[ks] = append(table[ks], r)
+	// One broadcast index serves both paths: the row closure below and
+	// the columnar probe read the same encoded-key → ordinal table.
+	idx := physical.NewBroadcastIndex(staticRows, staticSchema, staticKeyEvals)
+	mode := physical.BroadcastInner
+	switch {
+	case n.Type == logical.LeftSemiJoin:
+		mode = physical.BroadcastSemi
+	case n.Type == logical.LeftAntiJoin:
+		mode = physical.BroadcastAnti
+	case n.Type == logical.LeftOuterJoin && streamIsLeft,
+		n.Type == logical.RightOuterJoin && !streamIsLeft:
+		mode = physical.BroadcastOuter
 	}
-
-	outer := n.Type == logical.LeftOuterJoin && streamIsLeft ||
-		n.Type == logical.RightOuterJoin && !streamIsLeft
-	semi := n.Type == logical.LeftSemiJoin
-	anti := n.Type == logical.LeftAntiJoin
+	semi, anti, outer := mode == physical.BroadcastSemi, mode == physical.BroadcastAnti, mode == physical.BroadcastOuter
 	staticArity := staticSchema.Len()
 	streamArity := streamSchema.Len()
 	joinedWidth := streamArity + staticArity
-	// The broadcast hash table is built once at compile time and only read
-	// by tasks; all per-task probe state lives inside the stage factory.
+	// The broadcast index is built once at compile time and only read by
+	// tasks; all per-task probe state lives inside the stage factory.
 	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
 		probeKey := make([]sql.Value, len(streamKeyEvals))
 		probeEnc := codec.NewEncoder(64)
@@ -587,17 +581,17 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 					null = true
 				}
 			}
-			var matches []sql.Row
+			var matches []int32
 			if !null {
-				// The string([]byte) map index does not allocate.
 				probeEnc.Reset()
 				for _, v := range probeKey {
 					probeEnc.PutValue(v)
 				}
-				matches = table[string(probeEnc.Bytes())]
+				matches = idx.Lookup(probeEnc.Bytes())
 			}
 			matched := false
-			for _, st := range matches {
+			for _, o := range matches {
+				st := idx.Rows[o]
 				joined := arena.Next()
 				if streamIsLeft {
 					copy(joined, sr)
@@ -634,9 +628,19 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 			}
 		}, nil
 	})
-	appendVec(pipes, nil)
 	if semi || anti {
-		return pipes, streamSchema, nil
+		outSchema = streamSchema
+	}
+	keyProgs, keysOK := vec.CompileAll(streamKeys, streamSchema)
+	switch {
+	case residual != nil:
+		appendVec(pipes, nil, "join: residual predicate")
+	case idx.Cols == nil:
+		appendVec(pipes, nil, "join: static table types drift from its schema")
+	case !keysOK:
+		appendVec(pipes, nil, "join: stream key has no kernel")
+	default:
+		appendVec(pipes, physical.NewVecBroadcastJoin(keyProgs, idx, mode, streamIsLeft, outSchema), "")
 	}
 	return pipes, outSchema, nil
 }
@@ -695,7 +699,7 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 			continue
 		}
 		if vecAgg == nil {
-			v.sealed = true
+			v.seal("aggregate: key or input has no kernel")
 			continue
 		}
 		v.Agg = vecAgg
@@ -762,7 +766,7 @@ func (c *compiler) compileMapGroups(m *logical.MapGroups, q *Query) (StatefulOp,
 			next(sr)
 		}, nil
 	})
-	appendVec(pipes, nil)
+	appendVec(pipes, nil, "flatMapGroupsWithState: row-only stage")
 	routeByLeadingColumns(pipes, nkeys)
 	q.Pipelines = pipes
 	return &FlatMapGroupsWithState{
@@ -846,7 +850,7 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 				next(sr)
 			}, nil
 		})
-		appendVec(pipes, nil)
+		appendVec(pipes, nil, "stream-stream join: row-only stage")
 		routeByLeadingColumns(pipes, nkeys)
 		return nil
 	}

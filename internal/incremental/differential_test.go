@@ -30,6 +30,52 @@ func diffScan() *logical.Scan {
 	return &logical.Scan{Name: "d", Streaming: true, Out: diffSchema}
 }
 
+var dimSchema = sql.NewSchema(
+	sql.Field{Name: "dk", Type: sql.TypeString},
+	sql.Field{Name: "dn", Type: sql.TypeInt64},
+	sql.Field{Name: "label", Type: sql.TypeString},
+	sql.Field{Name: "w", Type: sql.TypeFloat64},
+)
+
+// dimRows is the static side of the join shapes: "a" matches three rows
+// (in a fixed order the output must keep), "b" and "" one each, "cc"
+// only on the two-column key's (cc, 42), NULL keys never match, and the
+// stream's "Aa" matches nothing.
+func dimRows() []sql.Row {
+	return []sql.Row{
+		{"a", int64(1), "a1", 0.5},
+		{"b", int64(42), "b1", nil},
+		{"a", int64(0), "a2", math.NaN()},
+		{nil, int64(1), "null-key", 1.0},
+		{"cc", int64(42), nil, -2.0},
+		{"a", nil, "a3", 3.0},
+		{"", int64(-1), "empty", 0.0},
+	}
+}
+
+// dimScan is the static table; rows override dimRows (for type drift).
+func dimScan(rows []sql.Row) *logical.Scan {
+	if rows == nil {
+		rows = dimRows()
+	}
+	return &logical.Scan{Name: "dim", Out: dimSchema, Handle: rows}
+}
+
+func streamJoin(typ logical.JoinType, cond sql.Expr) *logical.Join {
+	return &logical.Join{Left: diffScan(), Right: dimScan(nil), Type: typ, Cond: cond}
+}
+
+// staticLeftJoin puts the static table on the left of the stream.
+func staticLeftJoin(typ logical.JoinType) *logical.Join {
+	return &logical.Join{Left: dimScan(nil), Right: diffScan(), Type: typ,
+		Cond: sql.Eq(sql.Col("dk"), sql.Col("k"))}
+}
+
+var (
+	keyEq    = sql.Eq(sql.Col("k"), sql.Col("dk"))
+	twoKeyEq = sql.And(sql.Eq(sql.Col("k"), sql.Col("dk")), sql.Eq(sql.Col("n"), sql.Col("dn")))
+)
+
 // diffRows draws schema-conforming rows with nulls and adversarial
 // numerics (NaN, infinities, extremes, zeros).
 func diffRows(rng *rand.Rand, n int) []sql.Row {
@@ -127,6 +173,27 @@ func TestDifferentialFixedShapes(t *testing.T) {
 			Aggs: []logical.NamedAgg{
 				{Agg: sql.CountAll(), Name: "cnt"},
 				{Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
+		"join-inner":             streamJoin(logical.InnerJoin, keyEq),
+		"join-left-outer":        streamJoin(logical.LeftOuterJoin, keyEq),
+		"join-semi":              streamJoin(logical.LeftSemiJoin, keyEq),
+		"join-anti":              streamJoin(logical.LeftAntiJoin, keyEq),
+		"join-two-key":           streamJoin(logical.InnerJoin, twoKeyEq),
+		"join-two-key-outer":     streamJoin(logical.LeftOuterJoin, twoKeyEq),
+		"join-static-left-inner": staticLeftJoin(logical.InnerJoin),
+		"join-static-left-outer": staticLeftJoin(logical.RightOuterJoin),
+		"filter-join-project": &logical.Project{
+			Child: &logical.Join{
+				Left: &logical.Filter{Child: diffScan(),
+					Cond: sql.Ge(sql.Col("n"), sql.Lit(int64(0)))},
+				Right: dimScan(nil), Type: logical.LeftOuterJoin, Cond: keyEq},
+			Exprs: []sql.Expr{sql.Col("label"), sql.Col("n"),
+				sql.As(sql.Add(sql.Col("v"), sql.Col("w")), "vw")}},
+		"join-agg": &logical.Aggregate{
+			Child: streamJoin(logical.InnerJoin, keyEq),
+			Keys:  []sql.Expr{sql.Col("label")},
+			Aggs: []logical.NamedAgg{
+				{Agg: sql.CountAll(), Name: "cnt"},
+				{Agg: sql.SumOf(sql.Col("n")), Name: "total"}}},
 	}
 	for name, plan := range shapes {
 		t.Run(name, func(t *testing.T) {
@@ -141,6 +208,9 @@ func TestDifferentialFixedShapes(t *testing.T) {
 			}
 			if len(p.Vec.Ops) != len(p.Stages) && p.Vec.Agg == nil {
 				t.Fatalf("vector plan covers %d/%d stages", len(p.Vec.Ops), len(p.Stages))
+			}
+			if p.Vec.SealReason != "" {
+				t.Fatalf("fully vectorized plan has seal reason %q", p.Vec.SealReason)
 			}
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 10; trial++ {
@@ -160,7 +230,18 @@ func TestDifferentialFallbackShapes(t *testing.T) {
 		plan   logical.Plan
 		vecOps int // expected len(Vec.Ops); -1 means Vec must be nil
 		mode   logical.OutputMode
+		reason string // expected Vec.SealReason when vecOps > 0
 	}
+	// Joins behind a vectorizable filter, so the seal leaves a prefix
+	// that carries the reason.
+	filteredJoin := func(cond sql.Expr, dim []sql.Row) logical.Plan {
+		return &logical.Join{
+			Left: &logical.Filter{Child: diffScan(),
+				Cond: sql.Ge(sql.Col("n"), sql.Lit(int64(-10)))},
+			Right: dimScan(dim), Type: logical.InnerJoin, Cond: cond}
+	}
+	drifted := dimRows()
+	drifted[1] = sql.Row{"b", "forty-two", "b1", nil} // string in the int64 column
 	shapes := map[string]shape{
 		// LIKE has no kernel: the leading filter seals an empty plan.
 		"like-first": {plan: &logical.Filter{Child: diffScan(),
@@ -174,7 +255,7 @@ func TestDifferentialFallbackShapes(t *testing.T) {
 				Cond: sql.Ge(sql.Col("n"), sql.Lit(int64(-10)))},
 			Exprs: []sql.Expr{sql.Col("k"),
 				sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}},
-			vecOps: 1, mode: logical.Append},
+			vecOps: 1, mode: logical.Append, reason: "project: expression has no kernel"},
 		// CAST has no kernel either.
 		"cast-project": {plan: &logical.Project{Child: diffScan(),
 			Exprs: []sql.Expr{sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}},
@@ -185,6 +266,20 @@ func TestDifferentialFallbackShapes(t *testing.T) {
 				Cond: sql.NewBinary(sql.OpLike, sql.Col("k"), sql.Lit("%"))},
 			Exprs: []sql.Expr{sql.Col("n")}},
 			vecOps: -1, mode: logical.Append},
+		// A residual predicate needs the joined row: the probe stays on
+		// the row path.
+		"join-residual": {plan: filteredJoin(
+			sql.And(keyEq, sql.Gt(sql.Col("v"), sql.Col("w"))), nil),
+			vecOps: 1, mode: logical.Append, reason: "join: residual predicate"},
+		// A static table whose cells drift from its schema cannot become
+		// typed vectors.
+		"join-static-drift": {plan: filteredJoin(keyEq, drifted),
+			vecOps: 1, mode: logical.Append, reason: "join: static table types drift from its schema"},
+		// The unsealed stage after a sealed join is not picked up.
+		"join-residual-then-project": {plan: &logical.Project{
+			Child: filteredJoin(sql.And(keyEq, sql.Ne(sql.Col("label"), sql.Col("k"))), nil),
+			Exprs: []sql.Expr{sql.Col("label"), sql.Col("n")}},
+			vecOps: 1, mode: logical.Append, reason: "join: residual predicate"},
 	}
 	for name, s := range shapes {
 		t.Run(name, func(t *testing.T) {
@@ -201,6 +296,9 @@ func TestDifferentialFallbackShapes(t *testing.T) {
 				}
 				if len(p.Vec.Ops) >= len(p.Stages) {
 					t.Fatalf("prefix unexpectedly covers all %d stages", len(p.Stages))
+				}
+				if s.reason != "" && p.Vec.SealReason != s.reason {
+					t.Fatalf("seal reason %q, want %q", p.Vec.SealReason, s.reason)
 				}
 			}
 			rng := rand.New(rand.NewSource(7))

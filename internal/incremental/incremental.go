@@ -131,9 +131,19 @@ func (p *Pipeline) putPartialAgg(h *partialAgg) {
 type VecPlan struct {
 	Ops []physical.VecOp
 	Agg *VecAggPlan
+	// SealReason says why the plan stopped short of the stateful
+	// boundary (for example "join: residual predicate"); empty when it
+	// covers every stage. A plan that covers nothing is dropped (Vec ==
+	// nil) along with its reason.
+	SealReason string
 	// sealed stops the compiler extending Ops once a non-vectorizable
 	// stage appears (later stages would run out of order otherwise).
 	sealed bool
+}
+
+func (v *VecPlan) seal(reason string) {
+	v.sealed = true
+	v.SealReason = reason
 }
 
 // VecAggPlan is the columnar map-side partial aggregation: grouping keys

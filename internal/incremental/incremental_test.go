@@ -33,11 +33,16 @@ func mustCompile(t *testing.T, plan logical.Plan, mode logical.OutputMode) *Quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Compile(optimizer.Optimize(analyzed), mode, nil)
+	q, err := Compile(optimizer.Optimize(analyzed), mode, handleResolver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// handleResolver serves a static scan's rows from its Handle.
+func handleResolver(s *logical.Scan) (physical.RowSource, error) {
+	return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
 }
 
 func openStore(t *testing.T, name string) *state.Store {

@@ -9,6 +9,7 @@ import (
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
 	"structream/internal/state"
 )
@@ -85,9 +86,10 @@ func kernelFor(a sql.BoundAgg) aggKernel {
 // and its encoded key bytes (sliced out of a shared arena), so hash hits
 // compare raw bytes and never re-render (or re-box) the key, and shuffle
 // routing can hash the cached bytes directly. The slab, table, arena, and
-// aggregate-pass scratch all survive reset(), so a pooled instance
+// per-group aggregate scratch survive reset(), so a pooled instance
 // processes an epoch's batch with near-zero per-group bookkeeping
-// allocations.
+// allocations; reset() drops every pointer into the previous generation,
+// so a pooled table pins no keys or buffers across a GC.
 type partialAgg struct {
 	keyEvals []func(sql.Row) sql.Value
 	aggs     []sql.BoundAgg
@@ -98,12 +100,10 @@ type partialAgg struct {
 	bufArena []sql.AggBuffer
 	scratch  []sql.Value
 	enc      *codec.Encoder
-	// aggregate-pass scratch, reused across batches
-	laneIdx   []int32
-	laneGroup []int32
-	counts    []int64
-	isums     []int64
-	fsums     []float64
+	// per-group aggregate-pass scratch, reused across batches
+	counts []int64
+	isums  []int64
+	fsums  []float64
 }
 
 type partialGroup struct {
@@ -130,13 +130,18 @@ func newPartialAgg(keyEvals []func(sql.Row) sql.Value, aggs []sql.BoundAgg) *par
 }
 
 // reset clears the groups while keeping every allocation (slab, bucket
-// table, arenas, scratch slabs) for reuse. Callers must not retain
-// references into the previous generation's keyBytes or buffers.
+// table, arenas, scratch slabs) for reuse. The slab and buffer arena are
+// zeroed, not just truncated: a pooled table must not keep the last
+// generation's boxed keys and AggBuffers reachable. Callers must not
+// retain references into the previous generation's keyBytes or buffers.
 func (p *partialAgg) reset() {
+	clear(p.groups)
 	p.groups = p.groups[:0]
 	clear(p.slots)
 	p.arena = p.arena[:0]
+	clear(p.bufArena)
 	p.bufArena = p.bufArena[:0]
+	clear(p.scratch)
 }
 
 // grow doubles the bucket table and rebuilds the chains from each group's
@@ -241,28 +246,30 @@ func (p *partialAgg) updateBatch(b *vec.Batch, plan *VecAggPlan) {
 	}
 
 	// Grouping pass: one hash+encode per live lane, no boxing on hits.
+	// Lane scratch is sized to the batch, so it is per call: kept on a
+	// pooled table it would outlive the batch.
 	lanes := b.Sel
 	if lanes == nil {
-		if cap(p.laneIdx) < b.Len {
-			p.laneIdx = make([]int32, b.Len)
-		}
-		lanes = p.laneIdx[:b.Len]
+		lanes = make([]int32, b.Len)
 		for i := range lanes {
 			lanes[i] = int32(i)
 		}
 	}
-	if cap(p.laneGroup) < len(lanes) {
-		p.laneGroup = make([]int32, len(lanes))
+	laneGroup := make([]int32, len(lanes))
+	// A new group boxes its key once; consecutive new groups in the same
+	// window share one boxed sql.Window.
+	boxKey := make([]func(int) sql.Value, len(keys))
+	for c, kv := range keys {
+		boxKey[c] = physical.ColumnGetter(kv)
 	}
-	laneGroup := p.laneGroup[:len(lanes)]
 	for j, lane := range lanes {
 		i := int(lane)
 		h := codec.HashVec(p.enc, keys, i) // leaves encoded key in p.enc
 		gi := p.lookupHashed(h, p.enc.Bytes())
 		if g := &p.groups[gi]; g.key == nil && len(keys) > 0 {
 			key := make([]sql.Value, len(keys))
-			for c, kv := range keys {
-				key[c] = kv.Get(i)
+			for c, get := range boxKey {
+				key[c] = get(i)
 			}
 			g.key = key
 		}

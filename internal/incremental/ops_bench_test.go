@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"structream/internal/sql"
+	"structream/internal/sql/logical"
 	"structream/internal/sql/vec"
 )
 
 // Micro-benchmarks for the map-side partial aggregator: the per-row update
 // path (whose group hits now compare cached key bytes instead of
 // re-rendering the key), and the columnar updateBatch (grouping pass +
-// bulk kernels, no per-row boxing).
+// bulk kernels, no per-row boxing). The stream-static join benchmarks
+// measure the broadcast probe on both paths.
 
 func benchAggs() []sql.BoundAgg {
 	countAll := sql.BoundAgg{Kind: sql.AggCountAll, ResultType: sql.TypeInt64}
@@ -98,4 +100,79 @@ func BenchmarkPartialAggUpdateBatch(b *testing.B) {
 			b.SetBytes(8192)
 		})
 	}
+}
+
+// joinBenchRows is one Fig 6a map batch: 31,250 (ad_id, event_time) rows
+// whose ad ids all hit the 1,000-row campaigns table once.
+const joinBenchRows, joinBenchAds = 31_250, 1_000
+
+var joinBenchSchema = sql.NewSchema(
+	sql.Field{Name: "ad_id", Type: sql.TypeInt64},
+	sql.Field{Name: "event_time", Type: sql.TypeTimestamp},
+)
+
+// joinBenchPipeline compiles `stream JOIN campaigns ON ad_id = c_ad_id`
+// as a map-only pipeline whose only stage is the join.
+func joinBenchPipeline(b *testing.B) (*Pipeline, []sql.Row) {
+	campaigns := make([]sql.Row, joinBenchAds)
+	for ad := range campaigns {
+		campaigns[ad] = sql.Row{int64(ad), int64(ad / 10)}
+	}
+	static := &logical.Scan{Name: "campaigns", Handle: campaigns, Out: sql.NewSchema(
+		sql.Field{Name: "c_ad_id", Type: sql.TypeInt64},
+		sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
+	)}
+	plan := &logical.Join{
+		Left:  &logical.Scan{Name: "ad_events", Streaming: true, Out: joinBenchSchema},
+		Right: static, Type: logical.InnerJoin,
+		Cond: sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id")),
+	}
+	q, err := Compile(plan, logical.Append, handleResolver)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := q.Pipelines[0]
+	if !p.FullyVectorized() {
+		b.Fatal("join did not vectorize")
+	}
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]sql.Row, joinBenchRows)
+	for i := range rows {
+		rows[i] = sql.Row{int64(rng.Intn(joinBenchAds)), int64(i) * 10}
+	}
+	return p, rows
+}
+
+// BenchmarkStreamStaticJoinRow measures the row path: per-row key
+// evaluation, encode, probe and joined-row assembly.
+func BenchmarkStreamStaticJoinRow(b *testing.B) {
+	p, rows := joinBenchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		p.ProcessTo(rows, func(sql.Row) { n++ })
+		if n != joinBenchRows {
+			b.Fatalf("joined %d rows", n)
+		}
+	}
+	b.SetBytes(joinBenchRows)
+}
+
+// BenchmarkStreamStaticJoinVec measures the columnar probe over the same
+// batch: key kernels, encode and probe per lane, static-column gather.
+func BenchmarkStreamStaticJoinVec(b *testing.B) {
+	p, rows := joinBenchPipeline(b)
+	batch, ok := vec.FromRows(joinBenchSchema, rows)
+	if !ok {
+		b.Fatal("FromRows failed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := p.ApplyVec(batch); out.NumLive() != joinBenchRows {
+			b.Fatalf("joined %d rows", out.NumLive())
+		}
+	}
+	b.SetBytes(joinBenchRows)
 }

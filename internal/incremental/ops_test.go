@@ -85,3 +85,30 @@ func TestScatterMatchesRowRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestResetDropsPreviousGeneration pins that a table returned to the pool
+// keeps its slabs but no pointer into the previous batch's groups: boxed
+// keys and aggregate buffers left in the truncated slabs would stay
+// reachable through the pool across the forced GC at each commit.
+func TestResetDropsPreviousGeneration(t *testing.T) {
+	p := newPartialAgg(nil, benchAggs())
+	for i := 0; i < 8; i++ {
+		gi := p.lookupHashed(uint64(i), []byte{byte(i)})
+		p.groups[gi].key = []sql.Value{int64(i)}
+	}
+	p.reset()
+	if len(p.groups) != 0 || cap(p.groups) == 0 || cap(p.bufArena) == 0 {
+		t.Fatalf("reset: len %d, caps %d/%d; want empty slabs kept for reuse",
+			len(p.groups), cap(p.groups), cap(p.bufArena))
+	}
+	for i, g := range p.groups[:cap(p.groups)] {
+		if g.key != nil || g.bufs != nil || g.keyBytes != nil {
+			t.Fatalf("slab slot %d still references the previous generation: %+v", i, g)
+		}
+	}
+	for i, b := range p.bufArena[:cap(p.bufArena)] {
+		if b != nil {
+			t.Fatalf("buffer arena slot %d still holds %T", i, b)
+		}
+	}
+}

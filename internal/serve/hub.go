@@ -205,6 +205,11 @@ type Hub struct {
 	query    *engine.StreamingQuery // newest attached instance (for state reads)
 	health   *health.Tracker        // attached instance's health tracker (nil-safe)
 	rng      *rand.Rand
+
+	// idleHook, when set (tests only), runs in Next after the subscriber
+	// registered its waiter and released the lock, before it blocks — the
+	// window where a broadcast must still wake it.
+	idleHook func()
 }
 
 // NewHub creates a hub for the named query serving from rep. Call Attach
@@ -646,18 +651,26 @@ func (s *Subscription) Close() {
 // or the subscription terminates. Terminal frames (evicted, shutdown) are
 // delivered once; subsequent calls return the matching error.
 func (s *Subscription) Next(ctx context.Context) (Frame, error) {
+	h := s.hub
 	for {
-		f, ok, err := s.step()
+		// The idle check and the waiter install share one lock hold: a
+		// broadcast landing between them would wake nobody, and the frame
+		// would sit in the ring until the next commit (or forever after
+		// the last one).
+		h.mu.Lock()
+		f, ok, err := s.stepLocked()
 		if err != nil || ok {
+			h.mu.Unlock()
 			return f, err
 		}
-		h := s.hub
-		h.mu.Lock()
 		if s.waitCh == nil {
 			s.waitCh = make(chan struct{})
 		}
 		ch := s.waitCh
 		h.mu.Unlock()
+		if h.idleHook != nil {
+			h.idleHook()
+		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -669,14 +682,16 @@ func (s *Subscription) Next(ctx context.Context) (Frame, error) {
 // TryNext returns the next frame without blocking; ok is false when the
 // subscription is idle (caught up with no frame pending).
 func (s *Subscription) TryNext() (Frame, bool, error) {
-	return s.step()
-}
-
-// step produces at most one frame. ok=false means idle.
-func (s *Subscription) step() (Frame, bool, error) {
 	h := s.hub
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return s.stepLocked()
+}
+
+// stepLocked produces at most one frame. ok=false means idle. Caller
+// holds h.mu.
+func (s *Subscription) stepLocked() (Frame, bool, error) {
+	h := s.hub
 	now := h.opts.Clock()
 	for {
 		switch {

@@ -516,3 +516,45 @@ func TestLatestAnchorNoDuplicateUnderConcurrentCommits(t *testing.T) {
 		<-done
 	}
 }
+
+// TestNextWakesOnBroadcastAfterIdleCheck forces a broadcast into the
+// window between Next finding the subscriber idle and Next blocking. The
+// waiter must already be registered, so the broadcast wakes it and the
+// frame is delivered now rather than at the next commit (or never, after
+// the last one).
+func TestNextWakesOnBroadcastAfterIdleCheck(t *testing.T) {
+	ms := seededSink(t, 2, 1)
+	h := NewHub("q", ms, HubOptions{})
+	defer h.Close()
+	sub, err := h.Subscribe(SubscribeOptions{Cursor: 1, SkipHello: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	fired := false
+	h.idleHook = func() {
+		if fired {
+			return
+		}
+		fired = true
+		addEpoch(t, ms, logical.Append, 2, epochRows(2, 1))
+		h.Notify(2)
+		// Wait until the pump has put the frame in the ring, so the
+		// broadcast lands inside the window instead of racing past it.
+		waitFor(t, 5*time.Second, func() bool {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			return h.last >= 2
+		}, "broadcast of epoch 2")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	f, err := sub.Next(ctx)
+	if err != nil {
+		t.Fatalf("Next after a broadcast in the idle window: %v (lost wakeup)", err)
+	}
+	if !fired || f.Kind != FrameEpoch || f.Epoch != 2 {
+		t.Fatalf("fired=%v frame=%+v, want epoch 2", fired, f)
+	}
+}

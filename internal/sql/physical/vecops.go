@@ -128,7 +128,7 @@ func EmitBatchRows(b *vec.Batch, emit func(sql.Row)) {
 	arena := NewRowArena(len(b.Cols))
 	getters := make([]func(int) sql.Value, len(b.Cols))
 	for c, v := range b.Cols {
-		getters[c] = columnGetter(v)
+		getters[c] = ColumnGetter(v)
 	}
 	if b.Sel != nil {
 		for _, i := range b.Sel {
@@ -149,9 +149,10 @@ func EmitBatchRows(b *vec.Batch, emit func(sql.Row)) {
 	}
 }
 
-// columnGetter returns a boxing accessor specialized to the vector's
-// kind, avoiding a kind switch per cell.
-func columnGetter(v *vec.Vector) func(int) sql.Value {
+// ColumnGetter returns a boxing accessor specialized to the vector's
+// kind, avoiding a kind switch per cell. Consecutive reads of equal
+// windows return one shared boxed sql.Window.
+func ColumnGetter(v *vec.Vector) func(int) sql.Value {
 	switch v.Kind {
 	case vec.KindInt64:
 		vals, nulls := v.Int64s, v.Nulls

@@ -18,10 +18,12 @@ go test -race -count=1 \
 	./internal/lsm/ ./internal/state/ >/dev/null
 # Serving-layer race round: the subscription hub's fan-out, eviction
 # ladder, cursor resume, transports and churn chaos suite under the race
-# detector. Redundant with `go test -race ./...` above but named so the
-# live-serving robustness contract stays visible.
-echo ">> serve hub/churn race round"
-go test -race -count=1 ./internal/serve/ >/dev/null
+# detector, at GOMAXPROCS 1, 2 and 4 (-cpu) so goroutine handoffs such as
+# the subscriber wakeup really interleave on several cores. Redundant with
+# `go test -race ./...` above but named so the live-serving robustness
+# contract stays visible.
+echo ">> serve hub/churn race round (GOMAXPROCS 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/serve/ >/dev/null
 # Fuzz smoke: a few seconds of coverage-guided input on the state record
 # framing shared by deltas, snapshots, and LSM batches — round-trips must
 # hold and corrupt input must never panic the decoder.
@@ -61,19 +63,24 @@ go test -race -count=1 -run 'Health|Lineage|EventTime|Anomaly|Bundle' \
 echo ">> shard partitioned-runtime race round"
 go test -race -count=1 -run Partition ./internal/shard/ ./internal/engine/ >/dev/null
 # Vectorization differential smoke: the columnar path must be
-# byte-identical to the row path on randomized queries and data, and the
-# engine-level on/off runs must agree. (The full suite also runs under
-# `go test -race ./...` above; this line keeps the contract visible.)
+# byte-identical to the row path on randomized queries and data, every
+# stream-static join shape included, and the engine-level on/off runs
+# must agree. The Fig 6a plan-shape test fails if the benchmark query's
+# pipeline stops being columnar before the exchange. (The full suite
+# also runs under `go test -race ./...` above; this line keeps the
+# contract visible.)
 echo ">> vectorized/row differential smoke"
-go test -run 'TestDifferential|TestProgramMatchesRowEval|TestVectorizeOnOff' \
+go test -run 'TestDifferential|TestProgramMatchesRowEval|TestVectorizeOnOff|TestVectorizeFig6a|TestVectorizeJoinShapes|TestFig6aPlanStaysColumnar' \
 	./internal/sql/vec/ ./internal/incremental/ ./internal/engine/ >/dev/null
 # Stateful-vectorization race round: the columnar stateful path (batched
 # partial aggregation, batched state reads, the vectorized watermark gate)
 # against the row path, across both state backends and worker counts
-# 1/2/4, under the race detector. Redundant with `go test -race ./...`
+# 1/2/4, plus the stream-static join shapes feeding it, under the race
+# detector at GOMAXPROCS 1, 2 and 4. Redundant with `go test -race ./...`
 # above but named so the stateful bit-identity contract stays visible.
-echo ">> stateful vectorization race round"
-go test -race -count=1 -run 'TestStatefulVectorize|TestGetBatch|TestApplyBatch|TestPutBatch' \
+echo ">> stateful vectorization race round (GOMAXPROCS 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 \
+	-run 'TestStatefulVectorize|TestVectorizeFig6a|TestVectorizeJoinShapes|TestGetBatch|TestApplyBatch|TestPutBatch' \
 	./internal/engine/ ./internal/state/ ./internal/lsm/ >/dev/null
 # Opt-in throughput regression gate against the committed BENCH baseline
 # (slow: reruns the 2M-event bench suite).
