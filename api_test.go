@@ -212,6 +212,32 @@ func TestWindowBoundsInSQLProjection(t *testing.T) {
 	}
 }
 
+// TestUpdateModeAliasedKeyUpserts pins the update-mode key for a renamed
+// grouping column: the memory table keeps one row per key, so a later
+// epoch replaces the key's count instead of adding a row beside it.
+func TestUpdateModeAliasedKeyUpserts(t *testing.T) {
+	s := NewSession()
+	_, feed := s.MemoryStream("clicks", clickSchema)
+	df, err := s.SQL(`SELECT country AS c, count(*) AS n FROM clicks GROUP BY country`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := df.WriteStream().Format("memory").QueryName("upd").
+		OutputMode(Update).Trigger(ProcessingTime(time.Hour)).
+		Checkpoint(t.TempDir()).Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+	feed.AddData(Row{"CA", 1, 1.0, sec}, Row{"US", 2, 1.0, sec})
+	q.ProcessAllAvailable()
+	feed.AddData(Row{"CA", 3, 1.0, 2 * sec})
+	q.ProcessAllAvailable()
+	tbl, _ := s.Table("upd")
+	rows, _ := tbl.Collect()
+	expectRows(t, rows, "[CA, 2]", "[US, 1]")
+}
+
 func TestSessionRejectsUnknownTable(t *testing.T) {
 	s := NewSession()
 	if _, err := s.Table("ghost"); err == nil {

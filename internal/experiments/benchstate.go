@@ -13,8 +13,8 @@ import (
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
-	"structream/internal/sql/codec"
 	"structream/internal/sql/analysis"
+	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/optimizer"
 )

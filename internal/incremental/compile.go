@@ -79,27 +79,34 @@ func Compile(plan logical.Plan, mode logical.OutputMode, resolveStatic physical.
 	// marker scan that the driver feeds with the stage's output each epoch.
 	marker := &logical.Scan{Name: "__stage__", Out: stageSchema}
 	abovePlan := replaceNode(plan, boundary, marker)
-	postIdentity := abovePlan == logical.Plan(marker)
+	// A post segment that is the marker itself, or only renames its
+	// columns, passes the stage rows through untouched; OutSchema still
+	// carries the aliases.
+	postIdentity := abovePlan == logical.Plan(marker) || isRenameOnly(abovePlan, marker, stageSchema)
 	outSchema, err := abovePlan.Schema()
 	if err != nil {
 		return nil, err
 	}
 	q.OutSchema = outSchema
-	q.Post = func(rows []sql.Row) ([]sql.Row, error) {
-		resolver := func(s *logical.Scan) (physical.RowSource, error) {
-			if s == marker {
-				return physical.NewSliceSource(stageSchema, rows), nil
+	if postIdentity {
+		q.Post = func(rows []sql.Row) ([]sql.Row, error) { return rows, nil }
+	} else {
+		q.Post = func(rows []sql.Row) ([]sql.Row, error) {
+			resolver := func(s *logical.Scan) (physical.RowSource, error) {
+				if s == marker {
+					return physical.NewSliceSource(stageSchema, rows), nil
+				}
+				if c.resolveStatic == nil {
+					return nil, fmt.Errorf("incremental: no resolver for table %s", s.Name)
+				}
+				return c.resolveStatic(s)
 			}
-			if c.resolveStatic == nil {
-				return nil, fmt.Errorf("incremental: no resolver for table %s", s.Name)
+			compiled, err := physical.Compile(abovePlan, resolver)
+			if err != nil {
+				return nil, err
 			}
-			return c.resolveStatic(s)
+			return physical.Drain(compiled)
 		}
-		compiled, err := physical.Compile(abovePlan, resolver)
-		if err != nil {
-			return nil, err
-		}
-		return physical.Drain(compiled)
 	}
 
 	// Update-mode sinks upsert by key; that only works when the post
@@ -234,6 +241,38 @@ func replaceNode(plan, old, repl logical.Plan) logical.Plan {
 	return plan.WithChildren(newChildren)
 }
 
+// isRenameOnly reports whether above is a projection over the marker whose
+// expressions are the marker's columns in order, each at most aliased —
+// a post segment that renames but never reshapes a row.
+func isRenameOnly(above logical.Plan, marker *logical.Scan, stageSchema sql.Schema) bool {
+	proj, ok := above.(*logical.Project)
+	if !ok || proj.Child != logical.Plan(marker) || len(proj.Exprs) != stageSchema.Len() {
+		return false
+	}
+	for i, e := range proj.Exprs {
+		col, isCol := unalias(e).(*sql.Column)
+		if !isCol {
+			return false
+		}
+		if idx, err := stageSchema.Resolve(col.Name); err != nil || idx != i {
+			return false
+		}
+	}
+	return true
+}
+
+// unalias strips every alias around e; the analyzer stacks one on a
+// user's AS ("k AS key AS key").
+func unalias(e sql.Expr) sql.Expr {
+	for {
+		a, ok := e.(*sql.Alias)
+		if !ok {
+			return e
+		}
+		e = a.Child
+	}
+}
+
 // keysAreOutputPrefix checks that the post plan is a projection over the
 // marker whose first keyArity expressions are exactly the stage's key
 // columns, so update-mode upserts stay keyed correctly.
@@ -246,11 +285,7 @@ func keysAreOutputPrefix(above logical.Plan, marker *logical.Scan, stageSchema s
 		return false
 	}
 	for i := 0; i < keyArity; i++ {
-		e := proj.Exprs[i]
-		if a, isAlias := e.(*sql.Alias); isAlias {
-			e = a.Child
-		}
-		col, isCol := e.(*sql.Column)
+		col, isCol := unalias(proj.Exprs[i]).(*sql.Column)
 		if !isCol || baseName(col.Name) != baseName(stageSchema.Field(i).Name) {
 			return false
 		}

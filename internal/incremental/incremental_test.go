@@ -10,6 +10,7 @@ import (
 	"structream/internal/sql/analysis"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/optimizer"
+	"structream/internal/sql/parser"
 
 	"structream/internal/sql/physical"
 	"structream/internal/state"
@@ -437,6 +438,93 @@ func TestPostStageAppliesHavingAndProjection(t *testing.T) {
 		t.Fatalf("post rows = %v", rows)
 	}
 }
+
+// TestRenameOnlyPostPassesRowsThrough pins the pass-through post segment:
+// a projection that only aliases the aggregate's columns, in order, hands
+// the stage rows on untouched, while its schema keeps the aliases and the
+// update key arity is unchanged. Every query must emit what running its
+// projection over the stage rows does; reordering or computing keeps the
+// compiled post segment.
+func TestRenameOnlyPostPassesRowsThrough(t *testing.T) {
+	cat := catalogFunc(func(name string) (logical.Plan, error) { return scan(name), nil })
+	for _, tc := range []struct {
+		query    string
+		identity bool
+		keyArity int
+	}{
+		{"SELECT k, count(*) AS c FROM s GROUP BY k", true, 1},
+		{"SELECT k AS key, count(*) AS c, sum(v) AS total FROM s GROUP BY k", true, 1},
+		{"SELECT count(*) AS c, k FROM s GROUP BY k", false, 0},
+		{"SELECT k, count(*) + 1 AS c FROM s GROUP BY k", false, 1},
+		{"SELECT k FROM s GROUP BY k", true, 1},
+	} {
+		plan, err := parser.Parse(tc.query, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		analyzed, err := analysis.Analyze(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		optimized := optimizer.Optimize(analyzed)
+		q, err := Compile(optimized, logical.Update, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		proj, ok := optimized.(*logical.Project)
+		if !ok {
+			t.Fatalf("%s: plan root is %T, want a projection over the aggregate", tc.query, optimized)
+		}
+		// The reference: the projection compiled over the stage rows.
+		stage := q.Stateful.OutputSchema()
+		marker := &logical.Scan{Name: "__stage__", Out: stage}
+		refPlan := &logical.Project{Child: marker, Exprs: proj.Exprs}
+		refSchema, err := refPlan.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.OutSchema.String() != refSchema.String() {
+			t.Errorf("%s: schema %s, want %s", tc.query, q.OutSchema, refSchema)
+		}
+		if q.KeyArity != tc.keyArity {
+			t.Errorf("%s: key arity %d, want %d", tc.query, q.KeyArity, tc.keyArity)
+		}
+		in := make([]sql.Row, 3)
+		for i := range in {
+			row := sql.Row{fmt.Sprintf("k%d", i)}
+			for j := 1; j < stage.Len(); j++ {
+				row = append(row, int64(10*i+j))
+			}
+			in[i] = row
+		}
+		op, err := physical.Compile(refPlan, func(*logical.Scan) (physical.RowSource, error) {
+			return physical.NewSliceSource(stage, in), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := physical.Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.Post(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: post rows %v, want %v", tc.query, got, want)
+		}
+		passed := len(got) == len(in) && &got[0][0] == &in[0][0]
+		if passed != tc.identity {
+			t.Errorf("%s: rows passed through = %v, want %v", tc.query, passed, tc.identity)
+		}
+	}
+}
+
+// catalogFunc adapts a function to parser.Catalog.
+type catalogFunc func(name string) (logical.Plan, error)
+
+func (f catalogFunc) ResolveTable(name string) (logical.Plan, error) { return f(name) }
 
 func TestCompileStreamStaticJoinPipeline(t *testing.T) {
 	staticSchema := sql.NewSchema(

@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"structream/internal/fsx"
 	"structream/internal/sql"
+	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/vec"
+	"structream/internal/state"
 )
 
 // Micro-benchmarks for the map-side partial aggregator: the per-row update
@@ -175,4 +178,69 @@ func BenchmarkStreamStaticJoinVec(b *testing.B) {
 		}
 	}
 	b.SetBytes(joinBenchRows)
+}
+
+// BenchmarkStatefulAggregateProcessLSM is one reduce partition's epoch of
+// `SELECT k, count(*) ... GROUP BY k` in update mode: 6K shuffle rows over
+// 5K distinct keys merged into LSM state with a 64 KiB memtable, then
+// committed. Keys come from a 50K key space, so state is many times the
+// memtable and most keys are read back from SSTables. Maintenance (flush
+// and compaction) runs inline in Commit and is timed too.
+func BenchmarkStatefulAggregateProcessLSM(b *testing.B) {
+	prov := state.NewProviderFS(fsx.NoSync(), b.TempDir())
+	prov.Backend = state.BackendLSM
+	prov.MemtableBytes = 64 << 10
+	defer prov.Close()
+	agg := &StatefulAggregate{
+		OpName:      "agg",
+		NumKeys:     1,
+		Aggs:        []sql.BoundAgg{{Kind: sql.AggCountAll, ResultType: sql.TypeInt64}},
+		EventKeyIdx: -1,
+		Out: sql.NewSchema(
+			sql.Field{Name: "k", Type: sql.TypeString},
+			sql.Field{Name: "cnt", Type: sql.TypeInt64},
+		),
+	}
+	const epochs, rowsPerEpoch, keysPerEpoch, keySpace = 8, 6_000, 5_000, 50_000
+	rng := rand.New(rand.NewSource(1))
+	one := codec.EncodeValues([]sql.Value{int64(1)})
+	inputs := make([][]sql.Row, epochs)
+	for e := range inputs {
+		keys := rng.Perm(keySpace)[:keysPerEpoch]
+		rows := make([]sql.Row, rowsPerEpoch)
+		for i := range rows {
+			k := keys[i%keysPerEpoch]
+			if i >= keysPerEpoch {
+				k = keys[rng.Intn(keysPerEpoch)]
+			}
+			rows[i] = sql.Row{fmt.Sprintf("key-%06d", k), one}
+		}
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		inputs[e] = rows
+	}
+	store, err := prov.Open(state.ID{Operator: agg.OpName}, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	epoch := func(v int64) {
+		ctx := &EpochContext{Epoch: v, Mode: logical.Update, Vectorize: true}
+		out, err := agg.Process(ctx, store, [][]sql.Row{inputs[v%epochs], nil})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != keysPerEpoch {
+			b.Fatalf("emitted %d rows, want %d", len(out), keysPerEpoch)
+		}
+		if err := store.Commit(v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for v := int64(0); v < epochs; v++ { // warm: state spans the key space
+		epoch(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch(int64(epochs + i))
+	}
 }

@@ -92,6 +92,12 @@ func buildBloomFromHashes(hashes []uint64, bitsPerKey int) []byte {
 // built from. False positives are possible; false negatives are not. A
 // malformed (too short) filter conservatively answers true.
 func bloomMayContain(filter []byte, key []byte) bool {
+	return bloomMayContainHash(filter, fnv64a(key))
+}
+
+// bloomMayContainHash is bloomMayContain for a key whose fnv64a hash is
+// already known — a batch read hashes each key once for every table.
+func bloomMayContainHash(filter []byte, h uint64) bool {
 	if len(filter) < 2 {
 		return true
 	}
@@ -100,7 +106,6 @@ func bloomMayContain(filter []byte, key []byte) bool {
 		return true
 	}
 	bits := uint64(len(filter)-1) * 8
-	h := fnv64a(key)
 	delta := h>>33 | h<<31
 	for i := 0; i < k; i++ {
 		pos := h % bits

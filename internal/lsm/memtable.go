@@ -14,8 +14,14 @@ type memEntry struct {
 // sorted order is only needed at flush/scan time, so a balanced structure
 // would buy nothing here.
 type memtable struct {
-	entries map[string]memEntry
+	entries map[string]memEntry // made at the first put, sized by hint
+	hint    int
 	bytes   int64 // approximate payload footprint driving the flush decision
+	// sorted, when non-nil, lists every key ascending: a memtable filled by
+	// exactly one commit adopts that commit's record order, so flushing or
+	// scanning it needs no second sort. Any later put clears it. The slice
+	// is never mutated, so iterators may share it.
+	sorted []string
 }
 
 // memEntryOverhead charges each entry for its bookkeeping beyond raw
@@ -23,14 +29,17 @@ type memtable struct {
 const memEntryOverhead = 32
 
 func newMemtable() *memtable {
-	return &memtable{entries: map[string]memEntry{}}
+	return &memtable{}
 }
 
 // newMemtableSized pre-sizes the entry map. Epoch batches are large and
 // similar-sized, so seeding a fresh memtable with its predecessor's count
-// avoids ~17 incremental map rehashes per epoch on the commit path.
+// avoids ~17 incremental map rehashes per epoch on the commit path. The
+// map is made at the first put, not here: a memtable sealed at every
+// commit is replaced by an empty one that would otherwise hold a
+// full-size map idle between epochs.
 func newMemtableSized(hint int) *memtable {
-	return &memtable{entries: make(map[string]memEntry, hint)}
+	return &memtable{hint: hint}
 }
 
 func (m *memtable) get(key string) (memEntry, bool) {
@@ -47,6 +56,9 @@ func (m *memtable) getBytes(key []byte) (memEntry, bool) {
 
 // put inserts a value or tombstone, keeping the byte estimate in step.
 func (m *memtable) put(key string, value []byte, tomb bool) {
+	if m.entries == nil {
+		m.entries = make(map[string]memEntry, m.hint)
+	}
 	if old, ok := m.entries[key]; ok {
 		m.bytes -= int64(len(old.value))
 	} else {
@@ -54,12 +66,17 @@ func (m *memtable) put(key string, value []byte, tomb bool) {
 	}
 	m.bytes += int64(len(value))
 	m.entries[key] = memEntry{value: value, tomb: tomb}
+	m.sorted = nil
 }
 
 func (m *memtable) len() int { return len(m.entries) }
 
-// sortedKeys returns the keys ascending — the flush and scan order.
+// sortedKeys returns the keys ascending — the flush and scan order. The
+// result must not be mutated.
 func (m *memtable) sortedKeys() []string {
+	if m.sorted != nil {
+		return m.sorted
+	}
 	keys := make([]string, 0, len(m.entries))
 	for k := range m.entries {
 		keys = append(keys, k)

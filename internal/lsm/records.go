@@ -30,6 +30,13 @@ const (
 // EncodeBatch renders puts and dels as a record batch in ascending key
 // order, so identical logical commits produce byte-identical files.
 func EncodeBatch(puts map[string][]byte, dels map[string]bool) []byte {
+	keys := batchKeys(puts, dels)
+	return appendBatch(make([]byte, 0, batchSize(keys, puts, dels)), keys, puts, dels)
+}
+
+// batchKeys lists the keys of puts and dels ascending — the record order.
+// A key in both maps appears twice and encodes as two deletions.
+func batchKeys(puts map[string][]byte, dels map[string]bool) []string {
 	keys := make([]string, 0, len(puts)+len(dels))
 	for k := range puts {
 		keys = append(keys, k)
@@ -38,7 +45,25 @@ func EncodeBatch(puts map[string][]byte, dels map[string]bool) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf []byte
+	return keys
+}
+
+// batchSize is the exact encoded length of the batch over keys.
+func batchSize(keys []string, puts map[string][]byte, dels map[string]bool) int {
+	n := 0
+	for _, k := range keys {
+		n += 1 + uvarintLen(len(k)) + len(k)
+		if !dels[k] {
+			v := puts[k]
+			n += uvarintLen(len(v)) + len(v)
+		}
+	}
+	return n
+}
+
+// appendBatch appends one record per key, in the order given: a deletion
+// for keys in dels, otherwise the key's put.
+func appendBatch(buf []byte, keys []string, puts map[string][]byte, dels map[string]bool) []byte {
 	for _, k := range keys {
 		if dels[k] {
 			buf = append(buf, OpDel)
@@ -54,6 +79,14 @@ func EncodeBatch(puts map[string][]byte, dels map[string]bool) []byte {
 		buf = append(buf, v...)
 	}
 	return buf
+}
+
+func uvarintLen(n int) int {
+	l := 1
+	for ; n >= 0x80; n >>= 7 {
+		l++
+	}
+	return l
 }
 
 // DecodeBatch parses a record batch, invoking put/del per record. It never

@@ -113,7 +113,8 @@ func (b *tableBuilder) sealBlock() {
 		entries:  b.curCount,
 	})
 	b.buf = append(b.buf, b.cur...)
-	b.cur, b.curFirst, b.curCount = nil, "", 0
+	// The block's bytes now live in buf; the open-block buffer is reused.
+	b.cur, b.curFirst, b.curCount = b.cur[:0], "", 0
 }
 
 // finish seals the open block and appends bloom, index, and footer,
@@ -359,6 +360,72 @@ func (t *Table) get(key []byte) (val []byte, tomb, ok bool, err error) {
 		return nil, false, false, nil
 	}
 	return v, tb, true, nil
+}
+
+// getSorted is get for a batch: it resolves keys[i] for every position i
+// in pending, which must be ordered by ascending key, and returns the
+// positions this table has no record of (in the same order, reusing
+// pending's storage). hashes[i] is keys[i]'s fnv64a hash. Found keys land
+// in values/oks as in get. The bloom check stays per key, but because the
+// keys ascend, the block a key maps to never moves backward: a forward
+// cursor fetches each touched block and its offset table once, however
+// many keys it serves.
+func (t *Table) getSorted(keys [][]byte, hashes []uint64, pending []int, values [][]byte, oks []bool) ([]int, error) {
+	if len(t.index) == 0 {
+		return pending, nil
+	}
+	next := pending[:0]
+	bi := -1 // the block under the cursor
+	var block []byte
+	var offs []uint32
+	lo := 0 // entries of the cursor's block below every remaining key
+	for _, i := range pending {
+		key := keys[i]
+		if !bloomMayContainHash(t.bloom, hashes[i]) {
+			next = append(next, i)
+			continue
+		}
+		// The candidate is the last block whose firstKey is <= key; it is
+		// at or after the cursor's block.
+		from := bi + 1
+		c := from + sort.Search(len(t.index)-from, func(j int) bool {
+			return cmpStringBytes(t.index[from+j].firstKey, key) > 0
+		}) - 1
+		if c < 0 {
+			next = append(next, i) // below the table's first key
+			continue
+		}
+		if c != bi {
+			var err error
+			if block, err = t.block(c); err != nil {
+				return nil, err
+			}
+			if offs, err = t.blockOffsets(c, block); err != nil {
+				return nil, err
+			}
+			bi, lo = c, 0
+		}
+		j := lo + sort.Search(len(offs)-lo, func(j int) bool {
+			return bytes.Compare(entryKeyAt(block, offs[lo+j]), key) >= 0
+		})
+		lo = j
+		if j == len(offs) {
+			next = append(next, i)
+			continue
+		}
+		k, v, tomb, _, err := decodeBlockEntry(block, int(offs[j]), t.path)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(k, key) {
+			next = append(next, i)
+			continue
+		}
+		if !tomb {
+			values[i], oks[i] = v, true
+		}
+	}
+	return next, nil
 }
 
 // ---------------------------------------------------------------- iterator

@@ -1,8 +1,10 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -357,11 +359,13 @@ func (t *Tree) GetBytes(key []byte) ([]byte, bool, error) {
 // keys sweep the active memtable, then each sealed memtable newest-first,
 // then each table newest-first. Per-key shadowing order is identical to
 // GetBytes — a key resolves at the newest structure that knows it, and a
-// tombstone there is a definitive miss — but the per-structure sweep means
-// a batch pays the lock once and each SSTable's bloom filter and index
-// stay hot in cache while every remaining key probes them. Results land in
-// values/oks positionally (both must be len(keys)); value slices alias
-// internal storage and must not be mutated.
+// tombstone there is a definitive miss. The keys that reach the tables are
+// put in ascending order and hashed once (callers that already pass sorted
+// keys pay only the order check), so each table is probed by a forward
+// block cursor: one bloom check per key, but one block fetch and one
+// offset-table lookup per touched block, not per key.
+// Results land in values/oks positionally (both must be len(keys)); value
+// slices alias internal storage and must not be mutated.
 func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -371,10 +375,10 @@ func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 		values[i], oks[i] = nil, false
 		pending = append(pending, i)
 	}
-	resolve := func(getMem func(key []byte) (memEntry, bool)) {
+	resolve := func(m *memtable) {
 		next := pending[:0]
 		for _, i := range pending {
-			if e, ok := getMem(keys[i]); ok {
+			if e, ok := m.getBytes(keys[i]); ok {
 				if !e.tomb {
 					values[i], oks[i] = e.value, true
 				}
@@ -384,27 +388,27 @@ func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 		}
 		pending = next
 	}
-	resolve(t.mem.getBytes)
+	resolve(t.mem)
 	for s := len(t.sealed) - 1; s >= 0 && len(pending) > 0; s-- {
-		resolve(t.sealed[s].mem.getBytes)
+		resolve(t.sealed[s].mem)
+	}
+	if len(pending) == 0 || len(t.tables) == 0 {
+		return nil
+	}
+	byKey := func(a, b int) int { return bytes.Compare(keys[a], keys[b]) }
+	if !slices.IsSortedFunc(pending, byKey) {
+		slices.SortFunc(pending, byKey)
+	}
+	// Each key is hashed once for every table's bloom filter.
+	hashes := make([]uint64, len(keys))
+	for _, i := range pending {
+		hashes[i] = fnv64a(keys[i])
 	}
 	for ti := len(t.tables) - 1; ti >= 0 && len(pending) > 0; ti-- {
-		tbl := t.tables[ti]
-		next := pending[:0]
-		for _, i := range pending {
-			v, tomb, ok, err := tbl.get(keys[i])
-			if err != nil {
-				return err
-			}
-			if ok {
-				if !tomb {
-					values[i], oks[i] = v, true
-				}
-				continue
-			}
-			next = append(next, i)
+		var err error
+		if pending, err = t.tables[ti].getSorted(keys, hashes, pending, values, oks); err != nil {
+			return err
 		}
-		pending = next
 	}
 	return nil
 }
@@ -412,23 +416,30 @@ func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 // Commit durably applies one version's mutations. A key in both maps is a
 // delete, matching the delta encoding.
 func (t *Tree) Commit(version int64, puts map[string][]byte, dels map[string]bool) error {
-	return t.CommitWithHints(version, puts, dels, nil)
+	return t.CommitWithHints(version, puts, dels, nil, nil)
 }
 
-// CommitWithHints is Commit with an optional existence memo: hints[k]
-// reports whether k was live in committed state when the caller read it
-// during this epoch. The state layer passes the reads its operators already
-// performed, so live-key accounting skips a second lookup per mutated key.
-// Keys absent from the map fall back to a real lookup. A wrong hint can
-// only skew the NumKeys counter, never stored data — but callers must pass
-// only facts read from this tree at its current version.
+// CommitWithHints is Commit with an optional existence memo and an
+// optional key order. hints[k] reports whether k was live in committed
+// state when the caller read it during this epoch. The state layer passes
+// the reads its operators already performed, so live-key accounting skips
+// a second lookup per mutated key. Keys absent from the map fall back to a
+// real lookup. A wrong hint can only skew the NumKeys counter, never stored
+// data — but callers must pass only facts read from this tree at its
+// current version.
+//
+// order, when non-nil, must list exactly the keys of puts, strictly
+// ascending, with dels empty: the delta then encodes in that order without
+// sorting. A commit into an empty memtable hands its record order to the
+// memtable, whose flush reuses it. The tree keeps order; the caller must
+// not mutate it afterward. An order that breaks the contract is ignored.
 //
 // The delta-log write is the durability point and the epoch-commit
 // handshake: once it returns, the version is recoverable regardless of what
 // background maintenance has or has not done. Everything after — sealing a
 // full memtable, flush, compaction, manifest publication — is bookkeeping
 // the commit does not wait for, except the MaxPendingMemtables ceiling.
-func (t *Tree) CommitWithHints(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool) error {
+func (t *Tree) CommitWithHints(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool, order []string) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -453,27 +464,37 @@ func (t *Tree) CommitWithHints(version int64, puts map[string][]byte, dels map[s
 		}
 		t.pruned = true
 	}
-	body := EncodeBatch(puts, dels)
+	keys := order
+	if !isPutOrder(order, puts, dels) {
+		keys = batchKeys(puts, dels)
+	}
+	// One exact-size buffer holds the records and the seal footer.
+	body := make([]byte, 0, batchSize(keys, puts, dels)+fsx.FooterSize)
+	body = appendBatch(body, keys, puts, dels)
 	path := filepath.Join(t.dir, fmt.Sprintf("%d.delta", version))
 	if err := fsx.WriteAtomic(t.fsys, path, fsx.Seal(body), 0o644); err != nil {
 		t.mu.Unlock()
 		return fmt.Errorf("lsm: %w", err)
 	}
 	prev := t.version
-	for k, v := range puts {
-		if dels[k] {
-			continue
+	wasEmpty := t.mem.len() == 0
+	for i, k := range keys {
+		if i > 0 && keys[i-1] == k {
+			continue // a key in both maps: one deletion
 		}
-		if err := t.applyPutLocked(k, v, hints); err != nil {
+		var err error
+		if dels[k] {
+			err = t.applyDelLocked(k, hints)
+		} else {
+			err = t.applyPutLocked(k, puts[k], hints)
+		}
+		if err != nil {
 			t.mu.Unlock()
 			return err
 		}
 	}
-	for k := range dels {
-		if err := t.applyDelLocked(k, hints); err != nil {
-			t.mu.Unlock()
-			return err
-		}
+	if wasEmpty && t.mem.len() == len(keys) {
+		t.mem.sorted = keys
 	}
 	t.version = version
 	if t.mem.bytes >= t.opts.MemtableBytes && t.mem.len() > 0 {
@@ -523,6 +544,20 @@ func (t *Tree) CommitWithHints(version int64, puts map[string][]byte, dels map[s
 		return err
 	}
 	return nil
+}
+
+// isPutOrder reports whether order satisfies CommitWithHints' contract:
+// strictly ascending, as long as puts, with no deletions.
+func isPutOrder(order []string, puts map[string][]byte, dels map[string]bool) bool {
+	if order == nil || len(order) != len(puts) || len(dels) > 0 {
+		return false
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i-1] >= order[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // pruneStaleManifestsLocked removes manifests newer than the current

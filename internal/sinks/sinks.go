@@ -103,6 +103,7 @@ type MemorySink struct {
 	complete   []sql.Row          // complete mode: latest full table
 	keyed      map[string]sql.Row // update mode: upsert by key
 	keyOrder   []string
+	keyBuf     []byte // update mode: reused key encoding for lookups
 	mode       logical.OutputMode
 	hasMode    bool
 	epochs     []epochSub
@@ -157,8 +158,16 @@ func (s *MemorySink) AddBatch(b Batch) error {
 		if ka <= 0 || ka > b.Schema.Len() {
 			ka = b.Schema.Len()
 		}
+		// A known key's stored row is overwritten in place: every reader
+		// gets a clone, so no caller can observe the mutation. Only a
+		// first-seen key allocates (its map key and its row).
 		for _, r := range b.Rows {
-			k := codec.KeyString(r[:ka])
+			s.keyBuf = codec.AppendValues(s.keyBuf[:0], r[:ka])
+			if old, ok := s.keyed[string(s.keyBuf)]; ok && len(old) == len(r) {
+				copy(old, r)
+				continue
+			}
+			k := string(s.keyBuf)
 			if _, ok := s.keyed[k]; !ok {
 				s.keyOrder = append(s.keyOrder, k)
 			}

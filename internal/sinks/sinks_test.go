@@ -3,6 +3,7 @@ package sinks
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,6 +68,33 @@ func TestMemorySinkUpdateUpserts(t *testing.T) {
 		if r[0] == "CA" && r[1] != int64(7) {
 			t.Errorf("CA not updated: %v", r)
 		}
+	}
+}
+
+// TestMemorySinkUpsertLeavesReturnedRows pins the in-place upsert: a key
+// delivered again overwrites the sink's stored row, so rows that Rows()
+// and SnapshotRows() already handed out must be copies that keep their
+// values, and the caller's delivered rows must not become the stored
+// ones.
+func TestMemorySinkUpsertLeavesReturnedRows(t *testing.T) {
+	s := NewMemorySink()
+	first := sql.Row{"CA", int64(1)}
+	s.AddBatch(batch(0, logical.Update, first, sql.Row{"US", int64(2)}))
+	before := s.Rows()
+	snap, _ := s.SnapshotRows()
+	s.AddBatch(batch(1, logical.Update, sql.Row{"CA", int64(7)}, sql.Row{"MX", int64(3)}))
+	s.AddBatch(batch(2, logical.Update, sql.Row{"US", int64(9)}))
+	for name, rows := range map[string][]sql.Row{"Rows": before, "SnapshotRows": snap} {
+		if got := sql.Row(rows[0]).String() + sql.Row(rows[1]).String(); got != "[CA, 1][US, 2]" {
+			t.Errorf("%s result changed after upserts: %v", name, rows)
+		}
+	}
+	if first[1] != int64(1) {
+		t.Errorf("delivered row mutated by a later upsert: %v", first)
+	}
+	after := s.Rows()
+	if len(after) != 3 || after[0][1] != int64(7) || after[1][1] != int64(9) || after[2][0] != "MX" {
+		t.Errorf("rows after upserts = %v, want [CA 7] [US 9] [MX 3] in first-seen order", after)
 	}
 }
 
@@ -379,5 +407,27 @@ func TestMemorySinkColumnarUpdateDelegates(t *testing.T) {
 	rows := s.Rows()
 	if len(rows) != 1 || rows[0][1] != int64(5) {
 		t.Fatalf("update-mode columnar rows = %v", rows)
+	}
+}
+
+// BenchmarkMemorySinkUpdate upserts one update-mode epoch of 4,096 keys
+// that the sink already holds, the steady state of an aggregation whose
+// key set has stopped growing.
+func BenchmarkMemorySinkUpdate(b *testing.B) {
+	const keys = 4096
+	rows := make([]sql.Row, keys)
+	for i := range rows {
+		rows[i] = sql.Row{fmt.Sprintf("key-%05d", i), int64(i)}
+	}
+	s := NewMemorySink()
+	if err := s.AddBatch(batch(0, logical.Update, rows...)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.AddBatch(batch(int64(i+1), logical.Update, rows...)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -40,42 +40,46 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // PutValue appends one value.
-func (e *Encoder) PutValue(v sql.Value) {
+func (e *Encoder) PutValue(v sql.Value) { e.buf = appendValue(e.buf, v) }
+
+// appendValue appends the tagged encoding of one value to dst.
+func appendValue(dst []byte, v sql.Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		e.buf = append(e.buf, tagNull)
+		dst = append(dst, tagNull)
 	case bool:
 		if x {
-			e.buf = append(e.buf, tagTrue)
+			dst = append(dst, tagTrue)
 		} else {
-			e.buf = append(e.buf, tagFalse)
+			dst = append(dst, tagFalse)
 		}
 	case int64:
-		e.buf = append(e.buf, tagInt64)
-		e.buf = binary.AppendVarint(e.buf, x)
+		dst = append(dst, tagInt64)
+		dst = binary.AppendVarint(dst, x)
 	case float64:
-		e.buf = append(e.buf, tagFloat64)
-		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(x))
+		dst = append(dst, tagFloat64)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
 	case string:
-		e.buf = append(e.buf, tagString)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(x)))
-		e.buf = append(e.buf, x...)
+		dst = append(dst, tagString)
+		dst = binary.AppendUvarint(dst, uint64(len(x)))
+		dst = append(dst, x...)
 	case sql.Window:
-		e.buf = append(e.buf, tagWindow)
-		e.buf = binary.AppendVarint(e.buf, x.Start)
-		e.buf = binary.AppendVarint(e.buf, x.End)
+		dst = append(dst, tagWindow)
+		dst = binary.AppendVarint(dst, x.Start)
+		dst = binary.AppendVarint(dst, x.End)
 	case []byte:
-		e.buf = append(e.buf, tagBinary)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(x)))
-		e.buf = append(e.buf, x...)
+		dst = append(dst, tagBinary)
+		dst = binary.AppendUvarint(dst, uint64(len(x)))
+		dst = append(dst, x...)
 	default:
 		// Unknown dynamic types degrade to their string form; they are not
 		// expected in engine-internal rows.
 		s := sql.AsString(v)
-		e.buf = append(e.buf, tagString)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
-		e.buf = append(e.buf, s...)
+		dst = append(dst, tagString)
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
+	return dst
 }
 
 // PutRow appends a length-prefixed row.
@@ -101,6 +105,16 @@ func EncodeValues(vals []sql.Value) []byte {
 		e.PutValue(v)
 	}
 	return append([]byte(nil), e.Bytes()...)
+}
+
+// AppendValues appends the encoding of vals to dst and returns the
+// extended slice — the bytes EncodeValues would return, written into a
+// caller-owned buffer so hot paths can encode without a fresh allocation.
+func AppendValues(dst []byte, vals []sql.Value) []byte {
+	for _, v := range vals {
+		dst = appendValue(dst, v)
+	}
+	return dst
 }
 
 // Decoder reads values back out of an encoded buffer.
@@ -203,16 +217,28 @@ func DecodeRow(buf []byte) (sql.Row, error) {
 
 // DecodeValues decodes all values remaining in buf.
 func DecodeValues(buf []byte) ([]sql.Value, error) {
-	d := NewDecoder(buf)
-	var out []sql.Value
+	out, err := DecodeValuesInto(nil, buf)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeValuesInto decodes all values in buf into dst's storage, which it
+// truncates first, and returns the filled slice: DecodeValues for callers
+// that reuse one scratch slice across many small encodings. Whatever dst
+// held before is overwritten or left past the returned length.
+func DecodeValuesInto(dst []sql.Value, buf []byte) ([]sql.Value, error) {
+	d := Decoder{buf: buf}
+	dst = dst[:0]
 	for d.Remaining() {
 		v, err := d.Value()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // KeyString encodes a grouping key as a string usable as a Go map key. The

@@ -159,6 +159,67 @@ func TestValuesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendValuesMatchesEncodeValues pins the reusable-buffer encoder to
+// the allocating one for every value kind (including the string fallback
+// for foreign types), appended after existing bytes.
+func TestAppendValuesMatchesEncodeValues(t *testing.T) {
+	type foreign struct{ n int }
+	kinds := [][]sql.Value{
+		nil,
+		{nil},
+		{false, true},
+		{int64(0), int64(-1), int64(1 << 40)},
+		{0.0, -2.5, math.Inf(1), math.NaN()},
+		{"", "campaign-42"},
+		{sql.Window{Start: -10, End: 10_000_000}},
+		{[]byte{}, []byte{0, 1, 255}},
+		{foreign{7}},
+		{int64(5), nil, "x", 2.5, true, sql.Window{Start: 1, End: 2}, []byte("b")},
+	}
+	prefix := []byte{0xde, 0xad}
+	for _, vals := range kinds {
+		want := append(append([]byte(nil), prefix...), EncodeValues(vals)...)
+		got := AppendValues(append([]byte(nil), prefix...), vals)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendValues(%v) = %x, want %x", vals, got, want)
+		}
+	}
+}
+
+// TestDecodeValuesIntoDirtyScratch reuses one scratch slice, left holding
+// longer and differently typed values, and requires every decode to equal
+// a fresh DecodeValues.
+func TestDecodeValuesIntoDirtyScratch(t *testing.T) {
+	scratch := []sql.Value{"stale", int64(9), 1.5, true, sql.Window{Start: 3, End: 4}, []byte("old")}
+	for _, vals := range [][]sql.Value{
+		{int64(5), nil},
+		{},
+		{"x", 2.5, true, sql.Window{Start: 1, End: 2}, []byte("new"), int64(-7), nil, false},
+		{[]byte{}},
+	} {
+		enc := EncodeValues(vals)
+		want, err := DecodeValues(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err = DecodeValuesInto(scratch, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scratch) != len(want) {
+			t.Fatalf("DecodeValuesInto(%v): len %d, want %d", vals, len(scratch), len(want))
+		}
+		for i := range want {
+			if !valueEq(scratch[i], want[i]) {
+				t.Errorf("DecodeValuesInto(%v)[%d] = %v, want %v", vals, i, scratch[i], want[i])
+			}
+		}
+	}
+	if _, err := DecodeValuesInto(scratch, []byte{0xff}); err == nil {
+		t.Error("DecodeValuesInto accepted a bad tag")
+	}
+}
+
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(0)
 	e.PutValue(int64(1))

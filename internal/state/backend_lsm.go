@@ -57,8 +57,8 @@ func (b *lsmBackend) iterate(fn func(key, value []byte) bool) error {
 
 func (b *lsmBackend) numKeys() (int64, error) { return b.tree.NumKeys(), nil }
 
-func (b *lsmBackend) commit(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool) error {
-	if err := b.tree.CommitWithHints(version, puts, dels, hints); err != nil {
+func (b *lsmBackend) commit(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool, order []string) error {
+	if err := b.tree.CommitWithHints(version, puts, dels, hints, order); err != nil {
 		return fmt.Errorf("state: %w", err)
 	}
 	b.provider.deltasWritten.Add(1)

@@ -52,8 +52,8 @@ func (b *memBackend) iterate(fn func(key, value []byte) bool) error {
 
 func (b *memBackend) numKeys() (int64, error) { return int64(len(b.data)), nil }
 
-// commit ignores hints: the map makes existence checks free.
-func (b *memBackend) commit(version int64, puts map[string][]byte, dels map[string]bool, _ map[string]bool) error {
+// commit ignores hints (the map makes existence checks free) and order.
+func (b *memBackend) commit(version int64, puts map[string][]byte, dels map[string]bool, _ map[string]bool, _ []string) error {
 	path := filepath.Join(b.dir, fmt.Sprintf("%d.%s", version, kindDelta))
 	if err := b.atomicWrite(path, lsm.EncodeBatch(puts, dels)); err != nil {
 		return err

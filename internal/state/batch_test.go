@@ -3,7 +3,11 @@ package state
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -148,4 +152,96 @@ func TestPutBatchStagesAll(t *testing.T) {
 			t.Fatalf("NumKeys = %d, want 2", n)
 		}
 	})
+}
+
+// TestSortedPutsWriteSameFiles pins the sorted-put commit path on the LSM
+// backend: an epoch whose puts arrive in ascending key order (repeats of
+// the last key allowed) hands that order to the tree, which then skips
+// the delta sort and, for a fresh memtable, the flush sort. Every file —
+// deltas, tables, manifests — must match a store that staged the same
+// epochs in random order, including epochs where a removal or an
+// out-of-order put ends the sorted run.
+func TestSortedPutsWriteSameFiles(t *testing.T) {
+	mk := func() *Provider {
+		p := NewProvider(t.TempDir())
+		p.Backend = BackendLSM
+		p.MemtableBytes = 2 << 10
+		return p
+	}
+	pa, pb := mk(), mk()
+	defer pa.Close()
+	defer pb.Close()
+	sorted, shuffled := open(t, pa, -1), open(t, pb, -1)
+	rng := rand.New(rand.NewSource(5))
+	for version := int64(0); version < 24; version++ {
+		var keys []string
+		seen := map[string]bool{}
+		for len(keys) < 30 {
+			k := fmt.Sprintf("key-%04d", rng.Intn(400))
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		val := func(k string) []byte { return []byte(fmt.Sprintf("v%d-%s", version, k)) }
+		for i, k := range keys {
+			sorted.Put([]byte(k), val(k))
+			if i == 3 {
+				sorted.Put([]byte(k), val(k)) // a repeat keeps the run sorted
+			}
+		}
+		switch version % 4 {
+		case 1:
+			sorted.Remove([]byte(keys[0]))
+		case 2:
+			sorted.Put([]byte(keys[0]), val(keys[0])) // out of order
+		}
+		order := rng.Perm(len(keys))
+		for _, i := range order {
+			shuffled.Put([]byte(keys[i]), val(keys[i]))
+		}
+		if version%4 == 1 {
+			shuffled.Remove([]byte(keys[0]))
+		}
+		if err := sorted.Commit(version); err != nil {
+			t.Fatal(err)
+		}
+		if err := shuffled.Commit(version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pa.Stats().Flushes == 0 {
+		t.Fatal("no flush ran; the memtable order was never exercised")
+	}
+	read := func(p *Provider) map[string][]byte {
+		t.Helper()
+		dir := filepath.Join(p.Dir(), "state")
+		out := map[string][]byte{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			out[rel] = b
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := read(pa), read(pb)
+	if len(got) != len(want) {
+		t.Fatalf("sorted puts wrote %d files, shuffled puts %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if !bytes.Equal(got[name], w) {
+			t.Errorf("%s differs between sorted and shuffled puts", name)
+		}
+	}
 }

@@ -3,6 +3,13 @@
 # Use `go test -short ./...` for the quick tier that skips the crash sweep.
 set -eu
 cd "$(dirname "$0")/.."
+echo ">> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
 echo ">> go vet ./..."
 go vet ./...
 echo ">> go test -race ./..."
@@ -57,11 +64,18 @@ go test -race -count=1 ./internal/health/ >/dev/null
 go test -race -count=1 -run 'Health|Lineage|EventTime|Anomaly|Bundle' \
 	./internal/engine/ ./internal/serve/ ./internal/monitor/ >/dev/null
 # Partitioned-runtime race round: the shard pool/splitter/exchange and
-# the engine's N-worker differential plus barrier crash torture under the
-# race detector. Redundant with `go test -race ./...` above but named so
-# the sharded-commit contract stays visible.
-echo ">> shard partitioned-runtime race round"
-go test -race -count=1 -run Partition ./internal/shard/ ./internal/engine/ >/dev/null
+# the engine's N-worker differential plus barrier crash torture
+# (TestPartitionCrashTorture) under the race detector, at GOMAXPROCS 1, 2
+# and 4 so the merge, commit and flush handoffs interleave on several
+# cores. Redundant with `go test -race ./...` above but named so the
+# sharded-commit contract stays visible.
+echo ">> shard partitioned-runtime race round (GOMAXPROCS 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 -run Partition ./internal/shard/ ./internal/engine/ >/dev/null
+# Supervised LSM chaos round: crashes and transient faults against a
+# stateful query on the LSM backend with background maintenance, which
+# must converge to exact output, at GOMAXPROCS 1, 2 and 4.
+echo ">> supervised LSM chaos round (GOMAXPROCS 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 -run 'TestSupervisedStatefulLSMConvergesUnderChaos' ./internal/supervisor/ >/dev/null
 # Vectorization differential smoke: the columnar path must be
 # byte-identical to the row path on randomized queries and data, every
 # stream-static join shape included, and the engine-level on/off runs
