@@ -69,8 +69,8 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 	if so.BlockCacheHits+so.BlockCacheMisses == 0 {
 		t.Error("block cache saw no traffic")
 	}
-	if so.BlockCacheHitRate < 0 || so.BlockCacheHitRate > 1 {
-		t.Errorf("blockCacheHitRate = %v, want within [0,1]", so.BlockCacheHitRate)
+	if r := so.BlockCacheHitRate; r == nil || *r < 0 || *r > 1 {
+		t.Errorf("blockCacheHitRate = %v, want set and within [0,1]", r)
 	}
 	if got := sq.Metrics().Gauge("stateSSTables").Value(); got == 0 {
 		t.Error("stateSSTables gauge not populated")

@@ -87,3 +87,24 @@ func TestEventLogJSONOutput(t *testing.T) {
 		t.Errorf("parsed = %+v", p)
 	}
 }
+
+// TestBlockCacheHitRateOnlyForLSM pins the field's rendering: a report
+// without a block cache (the memory backend) omits it, and an LSM report
+// shows it even at 0.
+func TestBlockCacheHitRateOnlyForLSM(t *testing.T) {
+	mem, err := json.Marshal(StateOperatorProgress{Operator: "agg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(mem), "blockCacheHitRate") {
+		t.Errorf("memory-backend report renders a hit rate: %s", mem)
+	}
+	zero := 0.0
+	lsm, err := json.Marshal(StateOperatorProgress{Operator: "agg", Backend: "lsm", BlockCacheHitRate: &zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(lsm), `"blockCacheHitRate":0`) {
+		t.Errorf("LSM report drops a 0 hit rate: %s", lsm)
+	}
+}
