@@ -50,7 +50,7 @@ func main() {
 		interval   = flag.Duration("interval", time.Second, "trigger interval with -watch")
 		checkpoint = flag.String("checkpoint", "", "checkpoint directory (streaming)")
 		monitorAt  = flag.String("monitor", "", "with -watch, serve the HTTP monitoring endpoint on this address (e.g. localhost:8080)")
-		workers    = flag.Int("workers", 0, "run epochs on the partitioned parallel runtime with this many workers (>1)")
+		workers    = flag.Int("workers", 0, "shard-split each source partition across this many task slots (>1)")
 	)
 	flag.Parse()
 	if *query == "" {

@@ -221,7 +221,7 @@ type taskState struct {
 	mu       sync.Mutex
 	done     bool
 	result   any
-	err      error
+	err      error // set when the task exhausted its attempts
 	attempts int
 	started  time.Time
 	running  int
@@ -232,6 +232,13 @@ type taskState struct {
 // task exhausts its attempts). Results are ordered by task index. This is
 // the fine-grained recovery path of §6.2: a failed task is retried alone,
 // in parallel, with no whole-topology rollback.
+//
+// A failed stage settles before it reports: RunStage waits until every
+// task's attempt loop has exited, so no attempt is still committing state
+// when the caller restarts the epoch, and it returns the failure with the
+// lowest task index, so a stage with several failures reports
+// deterministically. A panicking attempt fails like an attempt that
+// returned an error.
 func (c *Cluster) RunStage(tasks []Task) ([]any, error) {
 	c.mu.Lock()
 	c.stagesRun++
@@ -240,11 +247,14 @@ func (c *Cluster) RunStage(tasks []Task) ([]any, error) {
 	for i := range states {
 		states[i] = &taskState{}
 	}
-	errCh := make(chan error, len(tasks)+8)
-	doneCh := make(chan struct{}, len(tasks))
+	// settled receives one value per task, when it completes or exhausts
+	// its attempts; loops counts every attempt loop, backups included.
+	settled := make(chan struct{}, len(tasks))
+	var loops sync.WaitGroup
 
 	var launch func(i int, speculative bool)
 	launch = func(i int, speculative bool) {
+		defer loops.Done()
 		st := states[i]
 		for {
 			st.mu.Lock()
@@ -277,16 +287,19 @@ func (c *Cluster) RunStage(tasks []Task) ([]any, error) {
 				st.result = result
 				st.duration = attElapsed
 				st.mu.Unlock()
-				doneCh <- struct{}{}
+				settled <- struct{}{}
 				return
 			}
 			exhausted := st.attempts >= c.cfg.MaxAttempts && st.running == 0
+			if exhausted {
+				st.err = fmt.Errorf("cluster: task %d failed after %d attempts: %w", i, c.cfg.MaxAttempts, err)
+			}
 			st.mu.Unlock()
 			c.mu.Lock()
 			c.tasksFailed++
 			c.mu.Unlock()
 			if exhausted {
-				errCh <- fmt.Errorf("cluster: task %d failed after %d attempts: %w", i, c.cfg.MaxAttempts, err)
+				settled <- struct{}{}
 				return
 			}
 			if speculative {
@@ -295,6 +308,7 @@ func (c *Cluster) RunStage(tasks []Task) ([]any, error) {
 		}
 	}
 
+	loops.Add(len(tasks))
 	for i := range tasks {
 		go launch(i, false)
 	}
@@ -348,6 +362,7 @@ func (c *Cluster) RunStage(tasks []Task) ([]any, error) {
 						c.mu.Lock()
 						c.speculated++
 						c.mu.Unlock()
+						loops.Add(1)
 						go launch(i, true)
 					}
 				}
@@ -355,32 +370,26 @@ func (c *Cluster) RunStage(tasks []Task) ([]any, error) {
 		}()
 	}
 
-	// Wait for every task to complete once (a zombie straggler attempt may
+	// Wait for every task to settle once (a zombie straggler attempt may
 	// keep running after its backup copy won; it releases its slot on its
 	// own, exactly as Spark lets superseded attempts finish).
-	var stageErr error
-	for completed := 0; completed < len(tasks) && stageErr == nil; {
-		select {
-		case <-doneCh:
-			completed++
-		case err := <-errCh:
-			stageErr = err
-		}
+	for range tasks {
+		<-settled
 	}
 	close(stop)
 	monWG.Wait()
-	if stageErr != nil {
-		return nil, stageErr
-	}
 	out := make([]any, len(tasks))
 	for i, st := range states {
 		st.mu.Lock()
-		if !st.done {
-			st.mu.Unlock()
-			return nil, fmt.Errorf("cluster: task %d did not complete", i)
-		}
-		out[i] = st.result
+		result, err := st.result, st.err
 		st.mu.Unlock()
+		if err != nil {
+			// The monitor has stopped, so no new backup copy can start:
+			// once the loops drain, nothing of this stage is still running.
+			loops.Wait()
+			return nil, err
+		}
+		out[i] = result
 	}
 	return out, nil
 }
@@ -397,7 +406,7 @@ func (c *Cluster) runAttempt(t Task, attempt int, n *node) (any, error) {
 		}
 	}
 	start := time.Now()
-	result, err := t.Fn()
+	result, err := callTask(t.Fn)
 	if err != nil {
 		c.mu.Lock()
 		c.taskNanos += time.Since(start).Nanoseconds()
@@ -411,6 +420,17 @@ func (c *Cluster) runAttempt(t Task, attempt int, n *node) (any, error) {
 	c.taskNanos += time.Since(start).Nanoseconds()
 	c.mu.Unlock()
 	return result, nil
+}
+
+// callTask runs one attempt, turning a panic into the attempt's error so a
+// bad task fails its stage instead of the process.
+func callTask(fn func() (any, error)) (result any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			result, err = nil, fmt.Errorf("cluster: task panicked: %v", r)
+		}
+	}()
+	return fn()
 }
 
 // MedianDuration is a small helper exported for tests and the bench

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,6 +264,140 @@ func TestInjectSlowdownStillCorrect(t *testing.T) {
 }
 
 // ---------------------------------------------------------------- virtual
+
+// TestRunStageOrdersResultsByIndex checks that results come back in task
+// order whatever order tasks finish in. Task i waits for task i+1, so the
+// stage completes strictly in reverse index order.
+func TestRunStageOrdersResultsByIndex(t *testing.T) {
+	const n = 16
+	c := New(Config{Nodes: 1, SlotsPerNode: n})
+	finished := make([]chan struct{}, n+1)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	close(finished[n])
+	tasks := make([]Task, n)
+	for i := range tasks {
+		i := i
+		tasks[i] = Task{Index: i, Fn: func() (any, error) {
+			<-finished[i+1]
+			defer close(finished[i])
+			return i * 10, nil
+		}}
+	}
+	results, err := c.RunStage(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r != i*10 {
+			t.Fatalf("slot %d = %v, want %d", i, r, i*10)
+		}
+	}
+}
+
+// TestRunStageReportsLowestFailedIndex checks that when tasks 0 and 2 both
+// fail, every task still runs and the stage reports task 0, even though
+// task 2 fails first.
+func TestRunStageReportsLowestFailedIndex(t *testing.T) {
+	c := New(Config{Nodes: 1, SlotsPerNode: 4, MaxAttempts: 1})
+	boom := errors.New("boom")
+	task2Failed := make(chan struct{})
+	var ran atomic.Int64
+	tasks := make([]Task, 4)
+	for i := range tasks {
+		i := i
+		tasks[i] = Task{Index: i, Fn: func() (any, error) {
+			ran.Add(1)
+			switch i {
+			case 0:
+				<-task2Failed
+				return nil, fmt.Errorf("task 0: %w", boom)
+			case 2:
+				defer close(task2Failed)
+				return nil, fmt.Errorf("task 2: %w", boom)
+			}
+			return i, nil
+		}}
+	}
+	_, err := c.RunStage(tasks)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "cluster: task 0 ") {
+		t.Fatalf("err = %v, want task 0's wrapped boom", err)
+	}
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("ran %d tasks, want all 4 to settle despite failures", n)
+	}
+}
+
+// TestRunStagePanicBecomesError checks that a panicking task fails its
+// stage with an error instead of killing the process, and that the
+// cluster stays usable.
+func TestRunStagePanicBecomesError(t *testing.T) {
+	c := New(Config{Nodes: 1, SlotsPerNode: 2, MaxAttempts: 2})
+	_, err := c.RunStage([]Task{{Index: 0, Fn: func() (any, error) { panic("kaboom") }}})
+	if err == nil || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("err = %v, want the panic surfaced as an error", err)
+	}
+	if _, failed, _ := c.Stats(); failed != 2 {
+		t.Fatalf("failed attempts = %d, want 2 (a panic is retried like an error)", failed)
+	}
+	res, err := c.RunStage([]Task{{Index: 0, Fn: func() (any, error) { return "ok", nil }}})
+	if err != nil || res[0] != "ok" {
+		t.Fatalf("cluster unusable after a panic: res=%v err=%v", res, err)
+	}
+}
+
+// TestRunStageSettlesBeforeReportingFailure checks that a failed stage
+// does not return while another task is still running: task 0 fails at
+// once, task 1 blocks until the test releases it, and RunStage must
+// return only after task 1 has finished.
+func TestRunStageSettlesBeforeReportingFailure(t *testing.T) {
+	c := New(Config{Nodes: 1, SlotsPerNode: 2, MaxAttempts: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	var released, task1Done atomic.Bool
+	tasks := []Task{
+		{Index: 0, Fn: func() (any, error) { return nil, errors.New("boom") }},
+		{Index: 1, Fn: func() (any, error) {
+			close(started)
+			<-release
+			task1Done.Store(true)
+			return 1, nil
+		}},
+	}
+	returned := make(chan error, 1)
+	go func() {
+		_, err := c.RunStage(tasks)
+		if !task1Done.Load() {
+			err = fmt.Errorf("RunStage returned (released=%v) while task 1 was still running: %v", released.Load(), err)
+		}
+		returned <- err
+	}()
+	<-started
+	// The failed-attempt count rises just before a failure is reported,
+	// so once it reads 1 an early-returning stage is already on its way
+	// out. Yield (without sleeping) until task 0 has failed, then give
+	// such a stage many more chances to return while task 1 is blocked.
+	for {
+		if _, failed, _ := c.Stats(); failed == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	for i := 0; i < 100; i++ {
+		select {
+		case err := <-returned:
+			t.Fatalf("stage returned before task 1 was released: %v", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	released.Store(true)
+	close(release)
+	err := <-returned
+	if err == nil || !strings.Contains(err.Error(), "boom") || strings.Contains(err.Error(), "still running") {
+		t.Fatalf("err = %v, want task 0's failure after task 1 settled", err)
+	}
+}
 
 func TestVirtualStageMakespan(t *testing.T) {
 	v := &VirtualCluster{Nodes: 2, SlotsPerNode: 2}

@@ -41,18 +41,14 @@ type Options struct {
 	Trigger Trigger
 	// NumPartitions is the shuffle/state partition count (default 4).
 	NumPartitions int
-	// Workers selects the partitioned parallel execution runtime: when
-	// > 1, epochs run on a pool of that many real worker goroutines —
-	// each source partition shard-splits into contiguous offset slices so
-	// several workers feed from it concurrently, fully vectorized
-	// pipelines route to state partitions through the columnar exchange,
-	// each state partition commits under its own store and seals its own
-	// WAL segment, and the epoch commits through a sharded barrier that
-	// verifies every seal before writing the single commit manifest.
-	// 0 or 1 keeps the classic path (one task per source partition on the
-	// in-process simulated cluster). Output is byte-identical either way:
-	// shards are contiguous and concatenate in task order, and the
-	// exchange hashes exactly as the row path does.
+	// Workers sets the epoch's degree of parallelism. When > 1, each
+	// source partition's offset range splits into up to Workers
+	// contiguous slices, one map task each, and the default cluster gets
+	// Workers task slots. 0 or 1 runs one map task per source partition
+	// on a 2-slot cluster. Every degree runs its stages on the cluster and
+	// commits each epoch with one commit-log record. Output is
+	// byte-identical at any degree: shards are contiguous and concatenate
+	// in task order, and the exchange hashes exactly as the row path does.
 	Workers int
 	// MaxRecordsPerTrigger caps records per epoch per source (0 =
 	// unlimited). With the default unlimited setting the engine exhibits
@@ -60,7 +56,7 @@ type Options struct {
 	// larger epochs until the query catches up (§7.3).
 	MaxRecordsPerTrigger int64
 	// Cluster executes map and reduce stages; nil uses a single-node
-	// in-process cluster.
+	// in-process cluster with max(Workers, 2) slots.
 	Cluster *cluster.Cluster
 	// StartFromEarliest makes a fresh query begin at the sources' earliest
 	// offsets rather than their current head (default true).
@@ -225,7 +221,6 @@ type exec struct {
 	wal    *wal.Log
 	prov   *state.Provider
 	clus   *cluster.Cluster
-	pool   *shard.Pool // non-nil when Options.Workers > 1
 	log    *metrics.EventLog
 	reg    *metrics.Registry
 	tracer *trace.Tracer                    // nil when Options.DisableTracing
@@ -290,7 +285,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	}
 	clus := opts.Cluster
 	if clus == nil {
-		clus = cluster.New(cluster.Config{Nodes: 1, SlotsPerNode: 2})
+		clus = cluster.New(cluster.Config{Nodes: 1, SlotsPerNode: max(opts.Workers, 2)})
 	}
 	e := &exec{
 		q: q, sink: sink, opts: opts,
@@ -336,39 +331,10 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	if opts.AdaptiveBackpressure {
 		e.limiter = newAIMDLimiter(opts.BackpressureTarget, opts.MaxRecordsPerTrigger, opts.MinRecordsPerTrigger, e.reg)
 	}
-	if opts.Workers > 1 {
-		// The pool must exist before recovery: a replayed epoch runs the
-		// same sharded path (and re-seals the same segments) as the run
-		// that crashed.
-		e.pool = shard.NewPool(opts.Workers)
-	}
 	if err := e.recover(); err != nil {
-		e.closePool()
 		return nil, err
 	}
 	return e, nil
-}
-
-// closePool stops the sharded runtime's workers, if any.
-func (e *exec) closePool() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
-
-// runStage dispatches one stage of tasks: to the shard pool's real worker
-// goroutines when Options.Workers > 1, else to the in-process simulated
-// cluster. Both return results ordered by Task.Index and settle every
-// task before reporting the lowest-indexed failure.
-func (e *exec) runStage(tasks []cluster.Task) ([]any, error) {
-	if e.pool == nil {
-		return e.clus.RunStage(tasks)
-	}
-	st := make([]shard.Task, len(tasks))
-	for i, t := range tasks {
-		st[i] = shard.Task{Index: t.Index, Fn: t.Fn}
-	}
-	return e.pool.Run(st)
 }
 
 // recover implements the §6.1 restart protocol.
@@ -637,7 +603,7 @@ func (e *exec) withRetry(fn func() error) error {
 	}
 }
 
-// minRecordsPerShard floors the sharded runtime's map-slice size: a tiny
+// minRecordsPerShard floors the map-slice size under Workers > 1: a tiny
 // epoch is not worth fanning across workers — per-task overhead would
 // dominate — so small ranges produce fewer shards than workers.
 const minRecordsPerShard = 256
@@ -786,17 +752,17 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 			if p >= len(r[0]) || r[1][p] <= r[0][p] {
 				continue
 			}
-			if e.pool == nil {
+			if e.opts.Workers <= 1 {
 				specs = append(specs, taskSpec{pipeIdx: i, part: p, from: r[0][p], to: r[1][p], nShards: 1})
 				continue
 			}
-			// Sharded runtime: split the partition's offset range into
-			// contiguous near-equal slices, one task each, so every worker
-			// gets map work even from a single hot partition. The split is
-			// a pure function of (range, workers), so a replayed epoch
-			// re-plans the identical shards, and concatenating shard
-			// outputs in task order reproduces the single-task row order.
-			shards := shard.Split(r[0][p], r[1][p], e.pool.Workers(), minRecordsPerShard)
+			// Split the partition's offset range into contiguous near-equal
+			// slices, one task each, so every worker gets map work even
+			// from a single hot partition. The split is a pure function of
+			// (range, workers), so a replayed epoch re-plans the identical
+			// shards, and concatenating shard outputs in task order
+			// reproduces the single-task row order.
+			shards := shard.Split(r[0][p], r[1][p], e.opts.Workers, minRecordsPerShard)
 			for si, sr := range shards {
 				specs = append(specs, taskSpec{pipeIdx: i, part: p, from: sr[0], to: sr[1], shardIdx: si, nShards: len(shards)})
 			}
@@ -919,7 +885,7 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 			return finish(res)
 		}}
 	}
-	results, err := e.runStage(tasks)
+	results, err := e.clus.RunStage(tasks)
 	if err != nil {
 		return err
 	}
@@ -1082,33 +1048,10 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 				if err != nil {
 					return nil, err
 				}
-				if e.pool != nil {
-					// Sharded barrier, phase one: seal this partition's WAL
-					// segment now that its state is durable. The seal is a
-					// promise, not a commit — the epoch commits only when
-					// the barrier below verifies all seals and writes the
-					// single manifest. Segments carry no timestamp, so a
-					// replayed epoch re-seals byte-identical files.
-					sealStart := time.Now()
-					err = e.withRetry(func() error {
-						return e.wal.WriteSegment(wal.Segment{
-							Epoch:        epoch,
-							Partition:    p,
-							StateVersion: epoch,
-							RowsIn:       int64(len(inputsByPart[p][0]) + len(inputsByPart[p][1])),
-							RowsOut:      int64(len(out)),
-							StateKeys:    int64(store.NumKeys()),
-						})
-					})
-					stateNanos.Add(time.Since(sealStart).Nanoseconds())
-					if err != nil {
-						return nil, err
-					}
-				}
 				return &reduceResult{rows: out, keys: int64(store.NumKeys()), nanos: time.Since(openStart).Nanoseconds()}, nil
 			}}
 		}
-		reduceResults, err := e.runStage(reduceTasks)
+		reduceResults, err := e.clus.RunStage(reduceTasks)
 		if err != nil {
 			return err
 		}
@@ -1198,15 +1141,7 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 	}
 	spCommit := et.StartSpan("walCommit")
 	commitStart := time.Now()
-	if e.pool != nil && e.q.Stateful != nil {
-		// Sharded barrier, phase two: verify every partition's seal, then
-		// write the one commit manifest referencing their digests. Crash
-		// anywhere before this write and recovery replays the epoch,
-		// discarding the orphaned seals.
-		if err := e.wal.CommitBarrier(epoch, nPart); err != nil {
-			return err
-		}
-	} else if err := e.wal.WriteCommit(epoch); err != nil {
+	if err := e.wal.WriteCommit(epoch); err != nil {
 		return err
 	}
 	et.EndSpan(spCommit)
@@ -1343,14 +1278,9 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 	e.reg.Gauge("clusterTasksRun").Set(cs.TasksRun)
 	e.reg.Gauge("clusterStagesRun").Set(cs.StagesRun)
 	e.reg.Gauge("clusterTaskMicros").Set(cs.TaskTime.Microseconds())
-	if e.pool != nil {
-		ss := e.pool.Stats()
-		e.reg.Gauge("workers").Set(int64(ss.Workers))
-		e.reg.Gauge("shardTasksRun").Set(ss.TasksRun)
-		e.reg.Gauge("shardStagesRun").Set(ss.StagesRun)
-		e.reg.Gauge("shardBusyMicros").Set(ss.BusyNanos / 1e3)
-		e.reg.Gauge("walSegmentsWritten").Set(ws.SegmentsWritten)
-		et.SetAttr("workers", int64(ss.Workers))
+	if w := int64(e.opts.Workers); w > 1 {
+		e.reg.Gauge("workers").Set(w)
+		et.SetAttr("workers", w)
 	}
 
 	// Per-source, per-sink, and per-state-operator progress sections.

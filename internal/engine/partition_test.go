@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,10 +18,10 @@ import (
 	"structream/internal/sql/logical"
 )
 
-// Differential and crash tests for the partitioned runtime
-// (Options.Workers > 1): N workers must produce byte-identical output to
-// the classic single-goroutine path, including through crashes that land
-// between the per-partition segment seals and the barrier manifest.
+// Differential and crash tests for Options.Workers > 1: N workers must
+// produce byte-identical output to the single-worker run, including
+// through crashes that land between the partitions' state commits and the
+// epoch's commit record.
 
 // partSchema uses an int64 measure so every aggregate is exact: float
 // sums re-associate under sharding, integers don't.
@@ -132,9 +134,9 @@ func TestPartitionDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestPartitionProgressReportsWorkers checks the sharded runtime is
-// visible in telemetry: progress events carry the worker count and the
-// pool/segment gauges move.
+// TestPartitionProgressReportsWorkers checks the worker degree is visible
+// in telemetry: progress events carry the worker count and the cluster's
+// task gauge moves.
 func TestPartitionProgressReportsWorkers(t *testing.T) {
 	q := partPlans(t)["keyed-agg-update"]
 	sink := sinks.NewMemorySink()
@@ -154,11 +156,8 @@ func TestPartitionProgressReportsWorkers(t *testing.T) {
 	if got := reg.Gauge("workers").Value(); got != 3 {
 		t.Fatalf("workers gauge = %d", got)
 	}
-	if got := reg.Gauge("shardTasksRun").Value(); got == 0 {
-		t.Fatal("shardTasksRun gauge never moved")
-	}
-	if got := reg.Gauge("walSegmentsWritten").Value(); got == 0 {
-		t.Fatal("walSegmentsWritten gauge never moved")
+	if got := reg.Gauge("clusterTasksRun").Value(); got == 0 {
+		t.Fatal("clusterTasksRun gauge never moved")
 	}
 }
 
@@ -195,11 +194,11 @@ func runPartitionTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, worker
 	return sq.ProcessAllAvailable()
 }
 
-// segmentWrites matches the n-th mutating write of a partition seal.
-func segmentWrites(target int) func(fsx.OpKind, string) bool {
+// nthWrite matches the n-th mutating write to a path containing part.
+func nthWrite(part string, target int) func(fsx.OpKind, string) bool {
 	seen := 0
 	return func(kind fsx.OpKind, path string) bool {
-		if kind != fsx.OpWrite || !strings.Contains(filepath.ToSlash(path), "/segments/") {
+		if kind != fsx.OpWrite || !strings.Contains(filepath.ToSlash(path), part) {
 			return false
 		}
 		seen++
@@ -207,24 +206,13 @@ func segmentWrites(target int) func(fsx.OpKind, string) bool {
 	}
 }
 
-// manifestWrites matches the n-th barrier manifest write.
-func manifestWrites(target int) func(fsx.OpKind, string) bool {
-	seen := 0
-	return func(kind fsx.OpKind, path string) bool {
-		if kind != fsx.OpWrite || !strings.Contains(filepath.ToSlash(path), "/commits/") {
-			return false
-		}
-		seen++
-		return seen == target
-	}
-}
-
-// TestPartitionCrashTorture crashes the sharded runtime at every
-// interesting point of the barrier protocol — at the first seal, between
-// the two partitions' seals, and at the manifest itself, in
-// before/torn/after flavors — then restarts at the SAME worker degree and
-// at degree 1 (mixed-degree recovery), requiring both to converge to the
-// single-worker crash-free output byte for byte.
+// TestPartitionCrashTorture crashes a two-partition stateful query at the
+// points of the commit protocol that concurrency reorders: the 1st, 2nd
+// and 7th state delta write (the 1st lands between the two partitions'
+// state commits) and the 1st and 3rd commit record, each before, torn
+// and after the write. It restarts the checkpoint at w2→w2, w2→w1 and
+// w1→w2 and requires every case to converge to the single-worker
+// crash-free output byte for byte.
 func TestPartitionCrashTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash torture skipped with -short")
@@ -249,43 +237,110 @@ func TestPartitionCrashTorture(t *testing.T) {
 		t.Fatalf("sharded run diverged from single-worker golden:\n%s", d)
 	}
 
-	specs := []struct {
-		name string
-		pred func() func(fsx.OpKind, string) bool
-		mode fsx.CrashMode
+	points := []struct {
+		name   string
+		path   string
+		target int
 	}{
-		{"first-seal-before", func() func(fsx.OpKind, string) bool { return segmentWrites(1) }, fsx.CrashBefore},
-		{"first-seal-torn", func() func(fsx.OpKind, string) bool { return segmentWrites(1) }, fsx.CrashTorn},
-		{"between-seals-after", func() func(fsx.OpKind, string) bool { return segmentWrites(1) }, fsx.CrashAfter},
-		{"second-seal-torn", func() func(fsx.OpKind, string) bool { return segmentWrites(2) }, fsx.CrashTorn},
-		{"later-epoch-seal-torn", func() func(fsx.OpKind, string) bool { return segmentWrites(7) }, fsx.CrashTorn},
-		{"manifest-before", func() func(fsx.OpKind, string) bool { return manifestWrites(1) }, fsx.CrashBefore},
-		{"manifest-torn", func() func(fsx.OpKind, string) bool { return manifestWrites(1) }, fsx.CrashTorn},
-		{"manifest-after", func() func(fsx.OpKind, string) bool { return manifestWrites(1) }, fsx.CrashAfter},
-		{"later-manifest-torn", func() func(fsx.OpKind, string) bool { return manifestWrites(3) }, fsx.CrashTorn},
+		{"first-delta", ".delta", 1},
+		{"second-delta", ".delta", 2},
+		{"later-delta", ".delta", 7},
+		{"first-commit", "/commits/", 1},
+		{"later-commit", "/commits/", 3},
 	}
-	for _, spec := range specs {
-		for _, restartWorkers := range []int{2, 1} {
-			label := fmt.Sprintf("%s restart-w%d", spec.name, restartWorkers)
-			ckpt, sinkDir := t.TempDir(), t.TempDir()
-			ffs := fsx.NewFaultFS(fsx.NoSync())
-			ffs.CrashWhen, ffs.Mode = spec.pred(), spec.mode
-			err := runPartitionTorture(t, ckpt, sinkDir, ffs, 2)
-			if !ffs.Crashed() {
-				t.Fatalf("%s: crash never fired (err=%v)", label, err)
-			}
-			if err == nil {
-				t.Fatalf("%s: crashed run reported success", label)
-			}
-			// Restart over the surviving checkpoint — at the crashed degree
-			// or at degree 1, which must read the same WAL and drop the
-			// orphaned seals either way.
-			if err := runPartitionTorture(t, ckpt, sinkDir, fsx.NoSync(), restartWorkers); err != nil {
-				t.Fatalf("%s: restart failed: %v", label, err)
-			}
-			if d := sinkDiff(golden, dirContents(t, sinkDir)); d != "" {
-				t.Fatalf("%s: sink did not converge to the crash-free output:\n%s", label, d)
+	modes := []struct {
+		name string
+		mode fsx.CrashMode
+	}{{"before", fsx.CrashBefore}, {"torn", fsx.CrashTorn}, {"after", fsx.CrashAfter}}
+	for _, pt := range points {
+		for _, m := range modes {
+			for _, deg := range [][2]int{{2, 2}, {2, 1}, {1, 2}} {
+				label := fmt.Sprintf("%s-%s w%d->w%d", pt.name, m.name, deg[0], deg[1])
+				ckpt, sinkDir := t.TempDir(), t.TempDir()
+				ffs := fsx.NewFaultFS(fsx.NoSync())
+				ffs.CrashWhen, ffs.Mode = nthWrite(pt.path, pt.target), m.mode
+				err := runPartitionTorture(t, ckpt, sinkDir, ffs, deg[0])
+				if !ffs.Crashed() {
+					t.Fatalf("%s: crash never fired (err=%v)", label, err)
+				}
+				if err == nil {
+					t.Fatalf("%s: crashed run reported success", label)
+				}
+				// Restart over the surviving checkpoint at the other degree
+				// (or the same one): the commit records alone decide what
+				// replays, whatever degree wrote them.
+				if err := runPartitionTorture(t, ckpt, sinkDir, fsx.NoSync(), deg[1]); err != nil {
+					t.Fatalf("%s: restart failed: %v", label, err)
+				}
+				if d := sinkDiff(golden, dirContents(t, sinkDir)); d != "" {
+					t.Fatalf("%s: sink did not converge to the crash-free output:\n%s", label, d)
+				}
 			}
 		}
+	}
+}
+
+// TestPartitionLegacyBarrierCheckpointConverges restarts a checkpoint laid
+// out as the retired per-partition commit barrier left it: commit records
+// that also carry "partitions" and "segments", and per-partition seals
+// under segments/, including one for the epoch the crash interrupted. The
+// restart must converge to the crash-free output and remove segments/.
+func TestPartitionLegacyBarrierCheckpointConverges(t *testing.T) {
+	goldenSink := t.TempDir()
+	if err := runPartitionTorture(t, t.TempDir(), goldenSink, fsx.NoSync(), 1); err != nil {
+		t.Fatalf("golden run: %v", err)
+	}
+	golden := dirContents(t, goldenSink)
+
+	ckpt, sinkDir := t.TempDir(), t.TempDir()
+	ffs := fsx.NewFaultFS(fsx.NoSync())
+	ffs.CrashWhen, ffs.Mode = nthWrite("/commits/", 3), fsx.CrashBefore
+	if err := runPartitionTorture(t, ckpt, sinkDir, ffs, 2); err == nil || !ffs.Crashed() {
+		t.Fatalf("crash never fired (err=%v)", err)
+	}
+	// Rewrite the checkpoint into the barrier layout: epochs 0 and 1 hold
+	// manifests and both seals; epoch 2 crashed after sealing partition 0.
+	segDir := filepath.Join(ckpt, "segments")
+	if err := os.MkdirAll(segDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seal := func(epoch int64, part int) {
+		name := fmt.Sprintf("%012d.part-%03d.json", epoch, part)
+		body := fmt.Sprintf("{\n  \"epoch\": %d,\n  \"partition\": %d,\n  \"stateVersion\": %d\n}\n", epoch, part, epoch)
+		if err := os.WriteFile(filepath.Join(segDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for epoch := int64(0); epoch < 2; epoch++ {
+		path := filepath.Join(ckpt, "commits", fmt.Sprintf("%012d.json", epoch))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec["partitions"] = 2
+		rec["segments"] = []map[string]any{{"partition": 0, "crc32c": "00000000"}, {"partition": 1, "crc32c": "00000000"}}
+		if data, err = json.MarshalIndent(rec, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seal(epoch, 0)
+		seal(epoch, 1)
+	}
+	seal(2, 0)
+
+	if err := runPartitionTorture(t, ckpt, sinkDir, fsx.NoSync(), 2); err != nil {
+		t.Fatalf("restart over the barrier checkpoint: %v", err)
+	}
+	if d := sinkDiff(golden, dirContents(t, sinkDir)); d != "" {
+		t.Fatalf("sink did not converge to the crash-free output:\n%s", d)
+	}
+	if _, err := os.Stat(segDir); !os.IsNotExist(err) {
+		t.Fatalf("segments/ survived the restart: %v", err)
 	}
 }

@@ -186,9 +186,6 @@ func (q *StreamingQuery) finish() {
 		// Wait out any in-flight flight-recorder capture so a restart
 		// never races a half-written bundle against its replacement.
 		q.exec.health.Close()
-		// Drain the sharded runtime's worker pool (no-op on the classic
-		// path) so restarts never stack idle worker goroutines.
-		q.exec.closePool()
 	}
 	if q.cont != nil {
 		q.cont.health.Close()

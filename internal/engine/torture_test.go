@@ -147,10 +147,6 @@ func opCategory(t *testing.T, op fsx.Op) string {
 	switch {
 	case strings.Contains(p, "/offsets/"):
 		return "offsets-write"
-	case strings.Contains(p, "/segments/"):
-		// Per-partition seals of the sharded commit barrier. Must precede
-		// the sink case: segment names embed "part-NNN" too.
-		return "segment-seal"
 	case strings.Contains(p, "/commits/"):
 		return "commit-marker"
 	case strings.Contains(p, ".delta") || strings.Contains(p, ".snapshot"):

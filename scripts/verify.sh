@@ -63,13 +63,16 @@ echo ">> health lineage/recorder race round"
 go test -race -count=1 ./internal/health/ >/dev/null
 go test -race -count=1 -run 'Health|Lineage|EventTime|Anomaly|Bundle' \
 	./internal/engine/ ./internal/serve/ ./internal/monitor/ >/dev/null
-# Partitioned-runtime race round: the shard pool/splitter/exchange and
-# the engine's N-worker differential plus barrier crash torture
-# (TestPartitionCrashTorture) under the race detector, at GOMAXPROCS 1, 2
-# and 4 so the merge, commit and flush handoffs interleave on several
-# cores. Redundant with `go test -race ./...` above but named so the
-# sharded-commit contract stays visible.
-echo ">> shard partitioned-runtime race round (GOMAXPROCS 1,2,4)"
+# Partitioned-runtime race round: the cluster executor (index-ordered
+# results, settle-before-failure, panic capture), the shard
+# splitter/exchange, and the engine's N-worker differential plus the
+# commit-record crash torture (TestPartitionCrashTorture, w2->w2, w2->w1
+# and w1->w2) under the race detector, at GOMAXPROCS 1, 2 and 4 so the
+# merge, commit and flush handoffs interleave on several cores. Redundant
+# with `go test -race ./...` above but named so the contract that every
+# worker degree commits through the one commit record stays visible.
+echo ">> partitioned-runtime race round (GOMAXPROCS 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/cluster/ >/dev/null
 go test -race -count=1 -cpu 1,2,4 -run Partition ./internal/shard/ ./internal/engine/ >/dev/null
 # Supervised LSM chaos round: crashes and transient faults against a
 # stateful query on the LSM backend with background maintenance, which

@@ -86,9 +86,8 @@ func (w *DataStreamWriter) Checkpoint(dir string) *DataStreamWriter {
 }
 
 // Option sets a sink/engine option ("partitions", "maxRecordsPerTrigger",
-// "workers" — N > 1 runs epochs on the partitioned parallel runtime
-// (per-partition pipelines, sharded epoch-commit barrier; see
-// engine.Options.Workers),
+// "workers" — N > 1 shard-splits each source partition across N task
+// slots (see engine.Options.Workers),
 // "stateBackend", "stateMemtableBytes", "stateBlockCacheBytes",
 // "stateSyncMaintenance" — "true" pins LSM flush/compaction inline on the
 // commit path instead of the background goroutine,
